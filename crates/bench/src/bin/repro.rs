@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper as text.
 //!
 //! ```text
-//! repro [--scale test|small|paper] [--jobs N] [--sim-threads N]
+//! repro [--scale test|small|paper] [--jobs N]
 //!       [--sanitize] [--fig2] [--fig3] [--fig4] [--fig5] [--fig6]
 //!       [--fig10] [--fig11] [--fig12] [--hugepage] [--table2]
 //!       [--breakdown] [--all] [--apps a,b,...]
@@ -12,17 +12,11 @@
 //! (2-16 apps), and the output reports each mechanism's per-app slowdown
 //! vs. solo, Jain fairness index and system throughput, followed by the
 //! per-app CSV rows. Like every other figure, output is byte-identical
-//! for any `--jobs`/`--sim-threads` combination.
+//! for any `--jobs`.
 //!
 //! `--jobs N` runs up to `N` grid cells (benchmark × mechanism) in
 //! parallel; the default is the machine's available parallelism and the
 //! output is bit-identical for every `N`.
-//!
-//! `--sim-threads N` parallelizes *inside* each simulation: phase A of
-//! the engine's two-phase event loop steps event-ready SMs on `N`
-//! threads (see `gpu_sim::set_sim_threads`). Output is bit-identical for
-//! every `N`; it composes with `--jobs` (total worker threads scale with
-//! the product, so shrink `--jobs` when raising `--sim-threads`).
 //!
 //! `--sanitize` turns on the engine's runtime invariant checks (TLB set
 //! ownership, LRU order, stats identities — see `gpu_sim::sanitize`) for
@@ -400,16 +394,6 @@ fn main() {
                         std::process::exit(2);
                     }
                 };
-            }
-            "--sim-threads" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => gpu_sim::set_sim_threads(n),
-                    _ => {
-                        eprintln!("--sim-threads requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
             }
             "--bench" => {
                 i += 1;

@@ -5,16 +5,13 @@
 //! sweep --param l1-entries|l2-entries|walkers|walk-latency|l2-ports|
 //!               l2-port-occupancy|l2-slices|sms
 //!       [--scale test|small|paper] [--bench <name>]...
-//!       [--mechanism full|baseline] [--jobs N] [--sim-threads N]
+//!       [--mechanism full|baseline] [--jobs N]
 //!       [--sanitize] [--trace-cache DIR] [--trace FILE]...
 //! ```
 //!
 //! `--jobs N` runs up to `N` sweep cells (parameter value × benchmark)
 //! in parallel; the default is the machine's available parallelism and
 //! the CSV rows come out in the same order for every `N`.
-//!
-//! `--sim-threads N` parallelizes phase A inside each simulation (see
-//! `gpu_sim::set_sim_threads`); the CSV is bit-identical for every `N`.
 //!
 //! `--sanitize` turns on the engine's runtime invariant checks (see
 //! `gpu_sim::sanitize`) for every cell; the first violation aborts with
@@ -172,16 +169,6 @@ fn main() {
                         std::process::exit(2);
                     }
                 };
-            }
-            "--sim-threads" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => gpu_sim::set_sim_threads(n),
-                    _ => {
-                        eprintln!("--sim-threads requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
             }
             "--param" => {
                 i += 1;

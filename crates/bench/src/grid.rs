@@ -105,7 +105,6 @@ impl Grid {
 
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        // simlint: allow(engine-spawn, reason = "bench sweep fan-out over independent simulations; each result lands in its per-index slot, so completion order cannot reach the output")
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {

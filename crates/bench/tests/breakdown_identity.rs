@@ -5,15 +5,20 @@
 //! end-to-end translation latency. The engine debug-asserts this per
 //! translation; these tests pin the aggregate identity in release mode
 //! too, across the whole mechanism × policy space.
+//!
+//! The report folds per-SM accumulators with plain `Add`, which is only
+//! sound because every field is an order-independent sum: the last two
+//! proptests pin that splitting an op stream across SMs and re-merging
+//! equals serial accumulation exactly.
 
 use bench::SEED;
-use gpu_sim::{GpuConfig, SimReport, Simulator};
+use gpu_sim::{GpuConfig, LatencyBreakdown, SimReport, Simulator, TranslationBreakdown};
 use orchestrated_tlb::{
     run_benchmark, Mechanism, PartitionedTlb, PartitionedTlbConfig, SharingPolicy,
     TlbAwareScheduler,
 };
 use proptest::prelude::*;
-use tlb::TranslationBuffer;
+use tlb::{TlbStats, TranslationBuffer};
 use workloads::{registry, Scale};
 
 fn assert_breakdown_accounts_for_everything(r: &SimReport, context: &str) {
@@ -87,5 +92,55 @@ proptest! {
             &r,
             &format!("{} sharing={sharing:?} slices={slices} occ={occupancy} per_level={per_level}", spec.name),
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Splitting a lookup stream across any number of per-SM `TlbStats`
+    /// accumulators and merging with `Add` equals serial accumulation.
+    #[test]
+    fn merged_per_sm_tlb_stats_equal_serial_accumulation(
+        ops in collection::vec((any::<bool>(), any::<bool>(), any::<bool>()), 0..256),
+        sms in 1usize..=16,
+    ) {
+        let mut serial = TlbStats::default();
+        let mut per_sm = vec![TlbStats::default(); sms];
+        for (i, &(hit, inserted, evicted)) in ops.iter().enumerate() {
+            for s in [&mut serial, &mut per_sm[i % sms]] {
+                s.record(hit);
+                if inserted {
+                    s.insertions += 1;
+                    if evicted {
+                        s.evictions += 1;
+                    }
+                }
+            }
+        }
+        let merged = per_sm.into_iter().fold(TlbStats::default(), |a, b| a + b);
+        prop_assert_eq!(merged, serial);
+        prop_assert_eq!(merged.accesses(), serial.hits + serial.misses);
+    }
+
+    /// Splitting translation completions across per-SM `LatencyBreakdown`
+    /// accumulators and merging with `Add` equals serial accumulation,
+    /// and preserves the per-stage attribution identity.
+    #[test]
+    fn merged_per_sm_latency_breakdowns_equal_serial_accumulation(
+        ops in collection::vec(((0u64..500, 0u64..40), (0u64..100, 0u64..20), (0u64..2000, 0u64..5000)), 0..128),
+        sms in 1usize..=16,
+    ) {
+        let mut serial = LatencyBreakdown::default();
+        let mut per_sm = vec![LatencyBreakdown::default(); sms];
+        for (i, &((l1_tlb, icnt), (l2_tlb_queue, l2_tlb_lookup), (walk, fault))) in ops.iter().enumerate() {
+            let b = TranslationBreakdown { l1_tlb, icnt, l2_tlb_queue, l2_tlb_lookup, walk, fault };
+            serial.record(&b, b.total());
+            per_sm[i % sms].record(&b, b.total());
+        }
+        let merged = per_sm.into_iter().fold(LatencyBreakdown::default(), |a, b| a + b);
+        prop_assert_eq!(merged, serial);
+        prop_assert_eq!(merged.translations, ops.len() as u64);
+        prop_assert!(merged.check().is_ok(), "{:?}", merged.check());
     }
 }

@@ -2,10 +2,6 @@
 //! the golden report checked in before the mem-hier extraction. Any
 //! timing drift — one cycle anywhere, one reordered row — fails this test
 //! before it can silently shift the paper's reproduced figures.
-//!
-//! The same golden file is the oracle for the two-phase parallel engine:
-//! `--sim-threads N` must not move a single byte for any `N`, so the
-//! thread-count variants below compare against the identical text.
 
 use std::process::Command;
 
@@ -13,14 +9,14 @@ use std::process::Command;
 /// deliberate, documented timing change — see EXPERIMENTS.md).
 const GOLDEN: &str = include_str!("golden/repro_all_test.txt");
 
-/// Run `repro --all --scale test` with the given extra flags and assert
-/// the stdout matches the golden file byte for byte, reporting the first
-/// divergent line on failure.
-fn assert_matches_golden(extra: &[&str]) {
-    let mut args = vec!["--all", "--scale", "test", "--jobs", "2"];
-    args.extend_from_slice(extra);
+/// Run `repro --all --scale test --jobs 2` and assert the stdout matches
+/// the golden file byte for byte, reporting the first divergent line on
+/// failure.
+#[test]
+fn repro_all_test_scale_matches_golden_byte_for_byte() {
+    let args = ["--all", "--scale", "test", "--jobs", "2"];
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(&args)
+        .args(args)
         .output()
         .expect("repro binary must run");
     assert!(
@@ -47,19 +43,21 @@ fn assert_matches_golden(extra: &[&str]) {
     }
 }
 
+/// The in-simulation thread engine is gone; a stale script passing its
+/// flag must fail loudly instead of silently running something else.
 #[test]
-fn repro_all_test_scale_matches_golden_byte_for_byte() {
-    assert_matches_golden(&[]);
-}
-
-#[test]
-fn repro_with_two_sim_threads_matches_golden_byte_for_byte() {
-    assert_matches_golden(&["--sim-threads", "2"]);
-}
-
-#[test]
-fn repro_with_four_sim_threads_matches_golden_byte_for_byte() {
-    assert_matches_golden(&["--sim-threads", "4"]);
+fn removed_thread_flag_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--sim-threads", "2"])
+        .output()
+        .expect("repro binary must run");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "repro --sim-threads must exit 2"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --sim-threads"), "{stderr}");
 }
 
 /// The 2-app co-run study's golden output (multi-tenant figure: per-app
@@ -97,16 +95,6 @@ fn corun_repro_matches_golden_byte_for_byte() {
 #[test]
 fn corun_repro_is_jobs_invariant() {
     assert_matches_corun_golden(&["--jobs", "1"]);
-}
-
-#[test]
-fn corun_repro_with_two_sim_threads_matches_golden() {
-    assert_matches_corun_golden(&["--jobs", "2", "--sim-threads", "2"]);
-}
-
-#[test]
-fn corun_repro_with_four_sim_threads_matches_golden() {
-    assert_matches_corun_golden(&["--jobs", "2", "--sim-threads", "4"]);
 }
 
 #[test]

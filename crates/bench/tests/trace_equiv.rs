@@ -2,7 +2,7 @@
 //! writing a workload to a `trace/v1` file and replaying it through the
 //! streaming reader must produce the *same report* — every counter,
 //! every CSV field — as running the generated workload directly, for
-//! every mechanism and thread count. Any divergence means the codec
+//! every mechanism. Any divergence means the codec
 //! dropped information or the streaming feed changed dispatch order.
 
 use std::path::PathBuf;
@@ -46,7 +46,7 @@ fn temp_trace(tag: &str) -> PathBuf {
 }
 
 /// Every mechanism produces an identical report whether the trace comes
-/// from RAM or streams from disk, at several thread counts.
+/// from RAM or streams from disk.
 #[test]
 fn streamed_replay_matches_in_memory_for_every_mechanism() {
     for name in ["bfs", "gemm"] {
@@ -55,22 +55,14 @@ fn streamed_replay_matches_in_memory_for_every_mechanism() {
         let path = temp_trace(name);
         write_workload(&path, &workload, name, Some(Scale::Test), SEED).unwrap();
         for m in Mechanism::all() {
-            for threads in [1usize, 2, 4] {
-                let mem = m
-                    .simulator(GpuConfig::dac23_baseline())
-                    .with_sim_threads(threads)
-                    .run(workload.clone());
-                let streamed = m
-                    .simulator(GpuConfig::dac23_baseline())
-                    .with_sim_threads(threads)
-                    .run_source(TraceSource::open(&path).unwrap())
-                    .unwrap();
-                assert_reports_equal(
-                    &mem,
-                    &streamed,
-                    &format!("{name} {} --sim-threads {threads}", m.label()),
-                );
-            }
+            let mem = m
+                .simulator(GpuConfig::dac23_baseline())
+                .run(workload.clone());
+            let streamed = m
+                .simulator(GpuConfig::dac23_baseline())
+                .run_source(TraceSource::open(&path).unwrap())
+                .unwrap();
+            assert_reports_equal(&mem, &streamed, &format!("{name} {}", m.label()));
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,8 +1,8 @@
 //! The streaming-pipeline contract, pinned at the binary level: `repro
 //! --all --scale test --trace-cache DIR` is byte-identical to the same
-//! golden report the in-memory path produces (`golden_repro.rs`), at
-//! every `--sim-threads N`. The trace cache may change where TBs come
-//! from — never a single output byte.
+//! golden report the in-memory path produces (`golden_repro.rs`). The
+//! trace cache may change where TBs come from — never a single output
+//! byte.
 //!
 //! Also pins cache determinism: populating two fresh directories with
 //! `trace-gen` yields byte-identical files (compared by content hash),
@@ -19,11 +19,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("otlb-trace-golden-{tag}-{}", std::process::id()))
 }
 
-/// Run `repro --all --scale test --trace-cache <dir>` with the given
-/// extra flags and assert stdout matches the golden byte for byte.
-fn assert_traced_matches_golden(dir: &Path, extra: &[&str]) {
+/// Run `repro --all --scale test --trace-cache <dir>` and assert stdout
+/// matches the golden byte for byte.
+fn assert_traced_matches_golden(dir: &Path) {
     let dir_s = dir.display().to_string();
-    let mut args = vec![
+    let args = [
         "--all",
         "--scale",
         "test",
@@ -32,9 +32,8 @@ fn assert_traced_matches_golden(dir: &Path, extra: &[&str]) {
         "--trace-cache",
         &dir_s,
     ];
-    args.extend_from_slice(extra);
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(&args)
+        .args(args)
         .output()
         .expect("repro binary must run");
     assert!(
@@ -64,23 +63,9 @@ fn assert_traced_matches_golden(dir: &Path, extra: &[&str]) {
 #[test]
 fn trace_cached_repro_matches_golden_byte_for_byte() {
     let dir = temp_dir("t1");
-    assert_traced_matches_golden(&dir, &[]);
+    assert_traced_matches_golden(&dir);
     // Second run replays the now-populated cache: still byte-identical.
-    assert_traced_matches_golden(&dir, &[]);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn trace_cached_repro_with_two_sim_threads_matches_golden() {
-    let dir = temp_dir("t2");
-    assert_traced_matches_golden(&dir, &["--sim-threads", "2"]);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn trace_cached_repro_with_four_sim_threads_matches_golden() {
-    let dir = temp_dir("t4");
-    assert_traced_matches_golden(&dir, &["--sim-threads", "4"]);
+    assert_traced_matches_golden(&dir);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

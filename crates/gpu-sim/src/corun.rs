@@ -19,7 +19,7 @@
 //!   1-app co-runs through this same path, so numerator and
 //!   denominator share semantics.
 //! * An app's completion cycle is the completion of its last warp
-//!   (order-independent max, so `--sim-threads N` is byte-identical).
+//!   (the max over its warps' completion cycles).
 //!
 //! Fairness metrics follow the multi-program scheduling literature:
 //! per-app slowdown vs. solo, Jain's fairness index over per-app

@@ -77,19 +77,12 @@ pub struct SimReport {
     pub latency: LatencyBreakdown,
     /// Recorded L1 TLB access stream (only when tracing was enabled).
     pub translation_trace: Vec<TranslationEvent>,
-    /// Phase-B rounds whose deferred batch met the engine's shard
-    /// policy. The policy predicate never reads the thread count, so a
-    /// serial run reports the same number as any `--sim-threads N` run
-    /// (where those rounds actually take the sharded drain).
-    pub sharded_rounds: u64,
     /// TLB lookups (all levels) served by the exact MRU memo fast path
     /// instead of a tag walk. Pure wall-clock accounting: the fast path
-    /// is byte-identical to the walk it skips, and the lookup streams
-    /// are thread-count invariant, so this counter is too.
+    /// is byte-identical to the walk it skips.
     pub fastpath_hits: u64,
     /// Per-application results in ASID order (a single entry for solo
-    /// runs). Populated by the engine from order-independent
-    /// per-ASID counter merges, so it is `--sim-threads` invariant.
+    /// runs). Populated by the engine from per-ASID counter merges.
     pub per_app: Vec<AppReport>,
 }
 
@@ -185,7 +178,8 @@ impl SimReport {
     ///
     /// The first 12 columns are the pre-mem-hier schema and must stay in
     /// place (downstream notebooks index them by position); new counters
-    /// are appended after `demand_faults` only.
+    /// are appended after `demand_faults` only, and removing a later
+    /// column is a CSV schema bump recorded in CHANGELOG.md.
     pub fn csv_header() -> &'static str {
         concat!(
             "workload,scheduler,cycles,instructions,transactions,",
@@ -194,7 +188,7 @@ impl SimReport {
             "walker_coalesced,walker_max_queue_wait,translations,",
             "l1_tlb_cycles,icnt_cycles,l2_tlb_queue_cycles,",
             "l2_tlb_lookup_cycles,walk_cycles,fault_cycles,translate_cycles,",
-            "sharded_rounds,fastpath_hits"
+            "fastpath_hits"
         )
     }
 
@@ -228,7 +222,7 @@ impl SimReport {
             });
         let lat = &self.latency;
         let mut row = format!(
-            "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.workload,
             self.scheduler,
             self.total_cycles,
@@ -251,7 +245,6 @@ impl SimReport {
             lat.walk_cycles,
             lat.fault_cycles,
             lat.end_to_end_cycles,
-            self.sharded_rounds,
             self.fastpath_hits
         );
         // Per-app columns appended only for co-runs, so solo rows stay
@@ -417,7 +410,6 @@ mod tests {
                 fault_cycles: 2000,
                 end_to_end_cycles: 2558,
             },
-            sharded_rounds: 21,
             fastpath_hits: 4242,
             ..Default::default()
         };
@@ -444,9 +436,8 @@ mod tests {
         assert_eq!(field("walk_cycles"), 500);
         assert_eq!(field("fault_cycles"), 2000);
         assert_eq!(field("translate_cycles"), 2558);
-        // Serial hot-path counters (appended columns): shard-policy
-        // rounds and memo fast-path hits round-trip exactly.
-        assert_eq!(field("sharded_rounds"), 21);
+        // The memo fast-path counter (an appended column) round-trips
+        // exactly.
         assert_eq!(field("fastpath_hits"), 4242);
         // And the recovered row still satisfies the stage-sum identity.
         assert!(r.latency.check().is_ok());

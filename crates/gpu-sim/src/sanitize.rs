@@ -121,8 +121,7 @@ impl Sanitizer {
 
     /// Full structural check of one SM's L1 TLB, called after a fill (the
     /// path that evicts, spills and flips sharing flags). Fills only
-    /// happen in phase B on the coordinating thread, so this hook never
-    /// races a phase-A worker.
+    /// happen in phase B.
     pub(crate) fn after_fill(sm: usize, cycle: u64, tlb: &dyn TranslationBuffer) {
         if let Err(v) = tlb.check_invariants() {
             report(v.in_context(&format!("sm {sm} L1 TLB, post-fill at cycle {cycle}")));
@@ -131,8 +130,8 @@ impl Sanitizer {
 
     /// Cheap per-event-cycle checks: per-SM stats monotone and internally
     /// consistent, scheduler status table within budget. Runs after phase
-    /// B (every lane back home on the coordinator), so the borrowed TLB
-    /// views are collected from the per-SM fronts at a phase boundary.
+    /// B, so the borrowed TLB views are collected from the per-SM fronts
+    /// at a phase boundary.
     pub(crate) fn after_cycle(
         &mut self,
         cycle: u64,

@@ -52,19 +52,6 @@ pub trait TbScheduler {
     /// Resets internal state between kernels.
     fn reset(&mut self) {}
 
-    /// Whether `pick_sm` depends only on slot occupancy — never on the
-    /// snapshots' TLB hit-rate fields, nor on being *called* at a
-    /// particular cadence — and always places a TB when some SM has
-    /// room. The engine uses this to skip dispatch attempts that are
-    /// provably no-ops (every SM full) and to let SMs run multi-cycle
-    /// epochs while TBs are still being dispatched. Policies that adapt
-    /// to TLB stats, keep per-call estimator state, or throttle
-    /// placements must return `false` (the default), which keeps
-    /// dispatch on the exact per-event-cycle schedule.
-    fn occupancy_only(&self) -> bool {
-        false
-    }
-
     /// Validates the policy's internal bookkeeping against the hardware
     /// budget it models (e.g. the §IV-A status table holds one entry per
     /// SM — 16 for the paper's GPU — and its rate estimates must stay
@@ -122,10 +109,6 @@ impl TbScheduler for RoundRobinScheduler {
 
     fn reset(&mut self) {
         self.next = 0;
-    }
-
-    fn occupancy_only(&self) -> bool {
-        true
     }
 }
 

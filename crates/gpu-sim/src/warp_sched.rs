@@ -25,11 +25,7 @@ pub struct WarpView {
 /// warp is ready. The engine reports each actual issue back through
 /// [`WarpScheduler::issued`] so stateful policies (greedy, round-robin
 /// pointers) can track it.
-///
-/// `Send` is a supertrait: each scheduler lives inside its SM's runtime
-/// state, which the engine's phase-A workers step on worker threads
-/// (schedulers are plain owned data, so this costs implementors nothing).
-pub trait WarpScheduler: Send {
+pub trait WarpScheduler {
     /// Chooses the next warp to issue from `warps` (an index into the
     /// slice), or `None` if none is ready.
     fn pick(&mut self, warps: &[WarpView]) -> Option<usize>;

@@ -38,11 +38,10 @@ pub struct Translation {
 /// DRAM), with per-level latency attribution for every translation.
 ///
 /// Internally this is the [`PerSmFront`]/[`SharedBack`] split the
-/// SM-parallel engine works with directly (via
+/// two-phase engine works with directly (via
 /// [`HierarchyBuilder::build_split`]); this façade fuses the two halves
-/// back into the serial call shape for tests and single-threaded
-/// callers. Both paths run the identical stage code, which is half of
-/// the byte-identical-output argument.
+/// back into one call shape for tests and simple callers. Both paths
+/// run the identical stage code.
 ///
 /// Stage timing contract: each stage's outcome satisfies
 /// `ready_at == access.at + queue + service + fault` (debug-asserted
@@ -385,7 +384,7 @@ mod tests {
     fn facade_and_split_agree_per_sm() {
         // The same accesses through the façade and through explicit
         // split halves produce identical timing and identically merged
-        // stats — the serial/parallel equivalence in miniature.
+        // stats.
         let mut space_a = AddressSpace::new(PageSize::Small);
         let mut space_b = AddressSpace::new(PageSize::Small);
         let va = space_a.allocate("b", 1 << 20).expect("fresh space").addr_of(0);

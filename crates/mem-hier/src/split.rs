@@ -2,25 +2,24 @@
 //!
 //! The paper's design keeps L1 TLBs SM-private while contention
 //! concentrates at the shared L2 TLB and walker pool — which is exactly
-//! the split a deterministic SM-parallel engine needs. This module
+//! the split the engine's two-phase event loop needs. This module
 //! factors the pipeline into:
 //!
 //! * [`PerSmFront`] — everything one SM touches exclusively: its private
 //!   L1 TLB (plus that stage's activity stats and the L1-hit latency
-//!   attribution) and its private VIPT L1 data cache. Safe to step on a
-//!   phase-A worker thread with no shared state.
+//!   attribution) and its private VIPT L1 data cache. Phase A steps it
+//!   without touching shared state.
 //! * [`SharedBack`] — the order-sensitive shared stages: the
 //!   interconnect, the sliced L2 TLB with port arbitration, the walker
 //!   pool over the (mutating, PPN-allocating) address space, and the
-//!   L2/DRAM data path. Only the coordinating thread applies these, in
-//!   SM-index order, which is what keeps parallel runs byte-identical to
-//!   the serial engine.
+//!   L2/DRAM data path. Phase B applies these in SM-index order, which
+//!   fixes the operation order every shared structure sees.
 //! * [`SharedRequest`] — the explicit boundary type: the work a phase-A
 //!   step defers to phase B.
 //!
 //! Per-front accumulators ([`StageStats`], [`LatencyBreakdown`]) are
-//! plain counter sums, so merging them over SMs is order-independent and
-//! deterministic by construction.
+//! plain counter sums, so merging them over SMs is deterministic by
+//! construction.
 
 use crate::breakdown::{LatencyBreakdown, TranslationBreakdown};
 use crate::cache::{Cache, CacheStats};
@@ -37,7 +36,7 @@ fn request(acc: &Access) -> TlbRequest {
 
 /// One SM's private slice of the hierarchy: its L1 TLB and L1 data
 /// cache, with the stats and latency attribution they generate. Owns no
-/// shared state, so phase A may step it on a worker thread.
+/// shared state, so phase A steps it in isolation.
 pub struct PerSmFront {
     sm: usize,
     l1_tlb: Box<dyn TranslationBuffer>,
@@ -288,18 +287,18 @@ pub struct SharedResponse {
 
 /// The shared, order-sensitive half of the hierarchy: interconnect,
 /// sliced L2 TLB, walker pool (owning the address space), and the
-/// L2/DRAM data path. Applied only by the coordinating thread.
+/// L2/DRAM data path. Applied only in phase B, in SM-index order.
 pub struct SharedBack {
-    pub(crate) icnt: IcntLink,
-    pub(crate) l2_tlb: L2TlbStage,
-    pub(crate) walker: WalkerStage,
-    pub(crate) l2_data: Cache,
-    pub(crate) icnt_latency: u64,
-    pub(crate) l2_hit_latency: u64,
-    pub(crate) dram_latency: u64,
+    icnt: IcntLink,
+    l2_tlb: L2TlbStage,
+    walker: WalkerStage,
+    l2_data: Cache,
+    icnt_latency: u64,
+    l2_hit_latency: u64,
+    dram_latency: u64,
     /// Miss-path translations are attributed here (the fronts hold the
     /// L1-hit share).
-    pub(crate) breakdown: LatencyBreakdown,
+    breakdown: LatencyBreakdown,
 }
 
 impl SharedBack {
@@ -495,11 +494,6 @@ impl SharedBack {
     /// Per-ASID L2 TLB counters merged over slices, sorted by ASID.
     pub fn l2_tlb_stats_by_asid(&self) -> Vec<(Asid, TlbStats)> {
         self.l2_tlb.tlb_stats_by_asid()
-    }
-
-    /// L2 fills that bypassed their slice on exhausted MASK tokens.
-    pub fn l2_token_bypasses(&self) -> u64 {
-        self.l2_tlb.token_bypasses()
     }
 
     /// Shared L2 data-cache counters.

@@ -94,9 +94,9 @@ impl StageStats {
         self.service_cycles += out.service_cycles;
     }
 
-    /// Component-wise sum: merges per-SM accumulators (the parallel
-    /// engine keeps one per front) into the stage total. Pure u64
-    /// addition, so the merge is order-independent.
+    /// Component-wise sum: merges per-SM accumulators (the engine keeps
+    /// one per front) into the stage total. Pure u64 addition, so the
+    /// merge is order-independent.
     pub fn merged(self, other: StageStats) -> StageStats {
         StageStats {
             accesses: self.accesses + other.accesses,

@@ -30,7 +30,7 @@
 //! irrelevant to the model (e.g. `sharing` for `model setassoc`) may be
 //! omitted. `kind engine` cases instead carry `bench`, `mechanism`,
 //! `sms` and `seed`, and replay a whole simulation per §V mechanism with
-//! 1 and 2 worker threads, diffing the reports. An engine case may also
+//! the runtime sanitizer on and off, diffing the reports. An engine case may also
 //! carry a `trace <hex16-hash> <path>` directive referencing a
 //! `trace/v1` file by its FNV-1a content hash: replay then streams the
 //! workload from that file (after verifying the hash) instead of
@@ -191,7 +191,7 @@ pub struct TraceRef {
 }
 
 /// A whole-simulation differential case: one benchmark × mechanism ×
-/// machine size, replayed with 1 and 2 engine worker threads.
+/// machine size, replayed sanitized and unsanitized.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineCase {
     /// Benchmark name from the `workloads` registry.
@@ -217,7 +217,7 @@ pub struct EngineCase {
 pub enum Case {
     /// An operation trace against a single model.
     Trace(TraceCase),
-    /// A whole-simulation thread-equivalence case.
+    /// A whole-simulation sanitizer-equivalence case.
     Engine(EngineCase),
 }
 

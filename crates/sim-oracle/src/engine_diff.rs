@@ -1,18 +1,13 @@
 //! Whole-simulation differential replay: one benchmark × mechanism ×
-//! machine size, executed serially and at 2 and 4 engine worker
-//! threads — the 4-thread run once more with the sharded phase-B drain
-//! forced on every round — reports diffed field by field.
+//! machine size, executed twice — once with the runtime sanitizer and
+//! the mem-hier accounting cross-checks enabled, once without — with the
+//! reports diffed field by field.
 //!
-//! The engine's determinism contract says thread count (and the
-//! serial-vs-sharded drain choice) is invisible: the two-phase event
-//! execution makes every statistic byte-identical regardless of how
-//! SMs are spread across workers or how phase B is parallelized. This
-//! module is that contract as an executable check, with the runtime
-//! sanitizer and the mem-hier accounting cross-checks enabled so
-//! internal invariants are audited along the way. (The forced-sharded
-//! replay runs unsanitized — the sanitizer's per-cycle hook pins the
-//! engine to the serial drain — which is itself a report-identity
-//! check: the sanitizer must never perturb a simulation.)
+//! The sanitized run audits the engine's internal invariants along the
+//! way (its first violation panics with a state dump). The diff is the
+//! report-identity check on top: observing a simulation must never
+//! perturb it, so every statistic of the unsanitized run must equal the
+//! sanitized one.
 
 use crate::case::EngineCase;
 use crate::diff::Divergence;
@@ -30,10 +25,9 @@ fn setup_error(what: String) -> Divergence {
     }
 }
 
-/// Runs one simulation of the case at the given thread count. `shard`
-/// forces the sharded phase-B drain on every round (and turns the
-/// sanitizer off, since its per-cycle hook pins the serial drain).
-fn simulate(case: &EngineCase, threads: usize, shard: bool) -> Result<SimReport, Divergence> {
+/// Runs one simulation of the case, with the runtime sanitizer forced
+/// on or off.
+fn simulate(case: &EngineCase, sanitize: bool) -> Result<SimReport, Divergence> {
     let benches = registry();
     let spec = benches
         .iter()
@@ -46,13 +40,9 @@ fn simulate(case: &EngineCase, threads: usize, shard: bool) -> Result<SimReport,
         .ok_or_else(|| setup_error(format!("unknown mechanism {:?}", case.mechanism)))?;
     let config = GpuConfig {
         num_sms: case.sms.max(1),
-        shard_threshold: if shard { 1 } else { 0 },
         ..GpuConfig::dac23_baseline()
     };
-    let mut sim = mechanism
-        .simulator(config)
-        .with_sim_threads(threads)
-        .with_sanitizer(!shard);
+    let mut sim = mechanism.simulator(config).with_sanitizer(sanitize);
     // A co-run case replays an app-interleaved mix of address spaces:
     // each named app is generated at the case seed and gets its own
     // ASID. Trace streaming does not apply — the merged TB stream is
@@ -97,9 +87,9 @@ fn simulate(case: &EngineCase, threads: usize, shard: bool) -> Result<SimReport,
     Ok(sim.run(workload))
 }
 
-/// Diffs `threaded` against the serial reference; `tag` labels the
+/// Diffs `other` against the `reference` report; `tag` labels the
 /// replay configuration in the divergence's field name.
-fn diff_reports(serial: &SimReport, threaded: &SimReport, tag: &str) -> Option<Divergence> {
+fn diff_reports(reference: &SimReport, other: &SimReport, tag: &str) -> Option<Divergence> {
     let diff = |field: String, expected: String, actual: String| {
         Some(Divergence {
             op_index: None,
@@ -108,14 +98,14 @@ fn diff_reports(serial: &SimReport, threaded: &SimReport, tag: &str) -> Option<D
             actual,
         })
     };
-    if serial.total_cycles != threaded.total_cycles {
+    if reference.total_cycles != other.total_cycles {
         return diff(
             format!("total-cycles@{tag}"),
-            serial.total_cycles.to_string(),
-            threaded.total_cycles.to_string(),
+            reference.total_cycles.to_string(),
+            other.total_cycles.to_string(),
         );
     }
-    for (sm, (a, b)) in serial.l1_tlb.iter().zip(&threaded.l1_tlb).enumerate() {
+    for (sm, (a, b)) in reference.l1_tlb.iter().zip(&other.l1_tlb).enumerate() {
         if a != b {
             return diff(
                 format!("l1-tlb[{sm}]@{tag}"),
@@ -124,21 +114,21 @@ fn diff_reports(serial: &SimReport, threaded: &SimReport, tag: &str) -> Option<D
             );
         }
     }
-    if serial.l2_tlb != threaded.l2_tlb {
+    if reference.l2_tlb != other.l2_tlb {
         return diff(
             format!("l2-tlb@{tag}"),
-            format!("{:?}", serial.l2_tlb),
-            format!("{:?}", threaded.l2_tlb),
+            format!("{:?}", reference.l2_tlb),
+            format!("{:?}", other.l2_tlb),
         );
     }
-    if serial.per_app.len() != threaded.per_app.len() {
+    if reference.per_app.len() != other.per_app.len() {
         return diff(
             format!("per-app-count@{tag}"),
-            serial.per_app.len().to_string(),
-            threaded.per_app.len().to_string(),
+            reference.per_app.len().to_string(),
+            other.per_app.len().to_string(),
         );
     }
-    for (k, (a, b)) in serial.per_app.iter().zip(&threaded.per_app).enumerate() {
+    for (k, (a, b)) in reference.per_app.iter().zip(&other.per_app).enumerate() {
         if a != b {
             return diff(
                 format!("per-app[{k}]@{tag}"),
@@ -149,53 +139,26 @@ fn diff_reports(serial: &SimReport, threaded: &SimReport, tag: &str) -> Option<D
     }
     // The CSV row folds in every remaining aggregate (walks, per-stage
     // latency attribution, ...): one comparison covers them all.
-    let (a, b) = (serial.to_csv_row(), threaded.to_csv_row());
+    let (a, b) = (reference.to_csv_row(), other.to_csv_row());
     if a != b {
         return diff(format!("csv-row@{tag}"), a, b);
     }
     None
 }
 
-/// Replays the case at 2 and 4 worker threads (plus the forced-sharded
-/// drain at 1 and 4 threads) and returns the first report field where
-/// any replay disagrees with its serial reference.
-///
-/// The forced-shard replays use a *different config* (`shard_threshold`
-/// 1, sanitizer off), and the [`SimReport::sharded_rounds`] counter
-/// deliberately reflects the configured policy — so they are diffed
-/// against a serial run of the same forced config (where the counter
-/// must be thread-count-identical), and that serial forced run is in
-/// turn diffed against the sanitized reference with only the
-/// `sharded_rounds` counter exempted: neither the shard policy nor the
-/// sanitizer may perturb any simulated statistic.
+/// Replays the case sanitized and unsanitized and returns the first
+/// report field where the two disagree (or a setup divergence when the
+/// case cannot be replayed at all).
 pub fn run_engine(case: &EngineCase) -> Option<Divergence> {
-    let serial = match simulate(case, 1, false) {
+    let sanitized = match simulate(case, true) {
         Ok(r) => r,
         Err(d) => return Some(d),
     };
-    for (threads, tag) in [(2, "2t"), (4, "4t")] {
-        let threaded = match simulate(case, threads, false) {
-            Ok(r) => r,
-            Err(d) => return Some(d),
-        };
-        if let Some(d) = diff_reports(&serial, &threaded, tag) {
-            return Some(d);
-        }
-    }
-    let serial_sharded = match simulate(case, 1, true) {
+    let unsanitized = match simulate(case, false) {
         Ok(r) => r,
         Err(d) => return Some(d),
     };
-    let mut masked = serial_sharded.clone();
-    masked.sharded_rounds = serial.sharded_rounds;
-    if let Some(d) = diff_reports(&serial, &masked, "1t-sharded") {
-        return Some(d);
-    }
-    let sharded = match simulate(case, 4, true) {
-        Ok(r) => r,
-        Err(d) => return Some(d),
-    };
-    diff_reports(&serial_sharded, &sharded, "4t-sharded")
+    diff_reports(&sanitized, &unsanitized, "unsanitized")
 }
 
 #[cfg(test)]
@@ -203,7 +166,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn thread_counts_agree_on_a_small_case() {
+    fn sanitizer_does_not_perturb_a_small_case() {
         let case = EngineCase {
             bench: "gemm".to_owned(),
             apps: Vec::new(),
@@ -216,10 +179,10 @@ mod tests {
     }
 
     /// A co-run engine case (two address spaces, MASK fill tokens so
-    /// the token gate sits on the replayed path) is byte-identical
-    /// across thread counts and the forced-sharded drain, end to end.
+    /// the token gate sits on the replayed path) passes every sanitizer
+    /// check and reports identically with the sanitizer off.
     #[test]
-    fn corun_cases_are_thread_equivalent() {
+    fn corun_cases_are_sanitizer_invariant() {
         let case = EngineCase {
             bench: "gemm".to_owned(),
             apps: vec!["gemm".to_owned(), "bfs".to_owned()],
@@ -283,8 +246,8 @@ mod tests {
             .unwrap();
         let hash = file_hash(&path).unwrap();
 
-        // The streamed replay agrees across thread counts like the
-        // generated one.
+        // The streamed replay is sanitizer-invariant like the generated
+        // one.
         let case = EngineCase {
             bench: "gemm".to_owned(),
             apps: Vec::new(),

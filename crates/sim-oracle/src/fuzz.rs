@@ -44,7 +44,7 @@ pub fn set_trace_dir(dir: impl Into<PathBuf>) {
 pub struct FuzzReport {
     /// Operation traces generated and replayed.
     pub traces: u64,
-    /// Whole-simulation thread-equivalence cases replayed.
+    /// Whole-simulation sanitizer-equivalence cases replayed.
     pub engine_runs: u64,
     /// The first divergence found, already shrunk, with its case.
     pub divergence: Option<(Case, Divergence)>,

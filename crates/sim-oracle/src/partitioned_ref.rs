@@ -14,8 +14,7 @@
 //!   probed set when the multi-set overhead is modelled;
 //! - insertion refreshing an already-resident page in place — with
 //!   compression off the refresh is *unconditional* (last writer wins;
-//!   no payload comparison, the property that licenses the engine's
-//!   deferred fills), under compression only when run-coherent — then
+//!   no payload comparison), under compression only when run-coherent — then
 //!   preferring the VPN-chosen candidate set, then any empty way in the
 //!   group, then rescuing the candidate set's LRU victim into the
 //!   neighbour's sets when the displacement margin licenses it (setting
@@ -300,10 +299,8 @@ impl OraclePartitionedTlb {
         let expected_base_ppn = ppn.raw().checked_sub(u64::from(off));
 
         // 1. Already reachable? Without compression the refresh is
-        //    *unconditional* — last writer wins, no payload comparison —
-        //    which is exactly what makes the subject's compression-off
-        //    insert deferred-fill eligible (a sentinel PPN must steer
-        //    replacement identically to the real one). Under compression
+        //    *unconditional* — last writer wins, no payload comparison.
+        //    Under compression
         //    the base-delta predicate is inherently payload-dependent:
         //    refresh only when coherent, otherwise drop the stale page
         //    from its run (the slot's stamp survives even if the run

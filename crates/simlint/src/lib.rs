@@ -6,7 +6,8 @@
 //!
 //! **Lexical rules** (v1, per file, exact token patterns):
 //!
-//! * **hash-iter** — no `HashMap`/`HashSet` in result-producing crates:
+//! * **hash-iter** — no `HashMap`/`HashSet` in result-producing crates
+//!   (the crates [`taint::result_crates`] computes from the item graph):
 //!   their iteration order is seeded per process and would make figures
 //!   non-reproducible.
 //! * **wall-clock** — no `Instant`/`SystemTime` outside the vendored
@@ -14,23 +15,13 @@
 //! * **unseeded-rng** — no `thread_rng`/`from_entropy`/`OsRng`/
 //!   `rand::random`: every stochastic choice must flow from the workload
 //!   seed.
-//! * **lossy-cast** — no narrowing `as` cast in expressions that touch
-//!   VPN/PPN/address values: `(vpn.raw() as usize) % n` truncates before
-//!   the modulo on 32-bit hosts and silently changes set indices.
+//! * **lossy-cast** — no narrowing `as` cast in result-producing crates
+//!   in expressions that touch VPN/PPN/address values:
+//!   `(vpn.raw() as usize) % n` truncates before the modulo on 32-bit
+//!   hosts and silently changes set indices.
 //! * **hot-unwrap** — no `.unwrap()`/`.expect()` in the engine hot path
 //!   (TLB lookup/insert and the cycle loop): a panic mid-simulation is
 //!   only acceptable via the sanitizer, which attaches a state dump.
-//! * **engine-lock** — no `Mutex`/`RwLock` in the engine hot path: the
-//!   two-phase engine's determinism rests on phase A touching only
-//!   SM-private state and phase B applying shared state in SM-index
-//!   order. A lock in that code means cross-thread sharing whose
-//!   acquisition order (and timing) the scheduler controls — exactly the
-//!   nondeterminism the phase split exists to exclude. Channels moving
-//!   owned data are the sanctioned mechanism.
-//! * **engine-spawn** — no `thread::spawn`/`thread::scope` outside
-//!   `gpu-sim/src/pool.rs` (the persistent worker pool and the
-//!   sharded-drain scoped executor), where lane ownership, panic
-//!   propagation and deterministic merge order are enforced in one place.
 //!
 //! **Graph rules** (v2, workspace-wide, over the [`graph::Workspace`]
 //! item/call graph built by [`parser`] on the [`lexer`] token stream):
@@ -38,16 +29,9 @@
 //! * **taint-reaches-report** ([`taint`]) — a nondeterminism source
 //!   (hash iteration, wall clock, unseeded RNG, channel arrival order,
 //!   pointer identity) inside the transitive callee closure of a result
-//!   sink (`SimReport`, CSV writers, `BENCH_*`/golden emitters). This
-//!   computes what the hand-maintained `RESULT_CRATES` list used to
-//!   approximate.
-//! * **phase-a-shared** ([`phase`]) — an item reachable from a phase-A
-//!   entry point (`PerSmFront` methods, `phase_a`/`run_chain`) names
-//!   shared back-half state (`SharedBack`, stages, walkers, icnt).
-//! * **deferred-fill-payload** ([`phase`]) — a `TranslationBuffer`
-//!   claiming `supports_deferred_fill()` whose `insert` placement
-//!   depends on the PPN payload, or which does not override
-//!   `patch_ppn` — the PR 6 sentinel-fill soundness condition.
+//!   sink (`SimReport`, CSV writers, `BENCH_*`/golden emitters). The
+//!   crates holding that closure are the result crates the lexical
+//!   `hash-iter` and `lossy-cast` rules are scoped to.
 //! * **stale-allow** — a `// simlint: allow(...)` escape whose rule no
 //!   longer fires on (or suppresses a taint seed at) its target line.
 //!
@@ -75,7 +59,6 @@ pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod parser;
-pub mod phase;
 pub mod taint;
 
 use lexer::{LineComment, Tok};
@@ -86,33 +69,15 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Crates whose sources produce simulation results — the v1 hand-written
-/// scope of `hash-iter` and `lossy-cast`. Kept for one release cycle as
-/// a cross-check against the graph-computed influence set
-/// ([`taint::result_crates`]); the unit tests assert the two agree.
-pub const RESULT_CRATES: [&str; 8] = [
-    "crates/core/",
-    "crates/gpu-sim/",
-    "crates/mem-hier/",
-    "crates/tlb/",
-    "crates/vmem/",
-    "crates/workloads/",
-    "crates/analysis/",
-    "crates/sim-oracle/",
-];
-
-/// Files forming the engine hot path (scope of `hot-unwrap` and
-/// `engine-lock`): the cycle loop plus every TLB organization's
-/// lookup/insert code and the private/shared hierarchy split. Kept for
-/// one release cycle as a cross-check against graph-derived facts (every
-/// `TranslationBuffer` impl and every phase-entry/shared-state
-/// definition must live in one of these files).
-pub const HOT_PATHS: [&str; 14] = [
+/// Files forming the engine hot path (scope of `hot-unwrap`): the cycle
+/// loop plus every TLB organization's lookup/insert code and the
+/// private/shared hierarchy split. Cross-checked against graph-derived
+/// facts (every `TranslationBuffer` impl and every phase-A entry point
+/// must live in one of these files).
+pub const HOT_PATHS: [&str; 12] = [
     "crates/gpu-sim/src/engine.rs",
     "crates/gpu-sim/src/feed.rs",
-    "crates/gpu-sim/src/pool.rs",
     "crates/gpu-sim/src/corun.rs",
-    "crates/mem-hier/src/drain.rs",
     "crates/mem-hier/src/hierarchy.rs",
     "crates/mem-hier/src/split.rs",
     "crates/mem-hier/src/stages.rs",
@@ -138,17 +103,13 @@ const ADDR_MARKERS: [&str; 4] = ["vpn", "ppn", "addr", "pfn"];
 /// Every rule an allow comment may waive. `bad-allow` and `stale-allow`
 /// are deliberately absent: escapes cannot waive the escape hygiene
 /// rules themselves.
-pub const RULES: [&str; 10] = [
+pub const RULES: [&str; 6] = [
     "hash-iter",
     "wall-clock",
     "unseeded-rng",
     "lossy-cast",
     "hot-unwrap",
-    "engine-lock",
-    "engine-spawn",
     "taint-reaches-report",
-    "phase-a-shared",
-    "deferred-fill-payload",
 ];
 
 /// Metadata for one rule (drives `--list-rules` and the README table).
@@ -162,10 +123,10 @@ pub struct RuleInfo {
 }
 
 /// All rules simlint can report, in display order.
-pub const RULE_INFOS: [RuleInfo; 12] = [
+pub const RULE_INFOS: [RuleInfo; 8] = [
     RuleInfo {
         name: "hash-iter",
-        scope: "result crates",
+        scope: "result crates (call graph)",
         summary: "`HashMap`/`HashSet` in result-producing code: iteration order is randomized per process",
     },
     RuleInfo {
@@ -180,7 +141,7 @@ pub const RULE_INFOS: [RuleInfo; 12] = [
     },
     RuleInfo {
         name: "lossy-cast",
-        scope: "result crates",
+        scope: "result crates (call graph)",
         summary: "narrowing `as` cast on a VPN/PPN/address value: truncates on 32-bit hosts before set indexing",
     },
     RuleInfo {
@@ -189,29 +150,9 @@ pub const RULE_INFOS: [RuleInfo; 12] = [
         summary: "`.unwrap()`/`.expect()` in the cycle loop or TLB lookup/insert: panics without a state dump",
     },
     RuleInfo {
-        name: "engine-lock",
-        scope: "engine hot path",
-        summary: "`Mutex`/`RwLock` in the hot path: scheduler-ordered sharing breaks two-phase determinism",
-    },
-    RuleInfo {
-        name: "engine-spawn",
-        scope: "workspace (except pool.rs)",
-        summary: "`thread::spawn`/`thread::scope` outside the engine pool: ad-hoc threading leaks arrival order",
-    },
-    RuleInfo {
         name: "taint-reaches-report",
         scope: "call graph (sink influence set)",
         summary: "a nondeterminism source can flow into a `SimReport`/CSV/`BENCH_*`/golden sink",
-    },
-    RuleInfo {
-        name: "phase-a-shared",
-        scope: "call graph (phase-A reachability)",
-        summary: "code reachable from `PerSmFront`/`phase_a` names shared back-half state",
-    },
-    RuleInfo {
-        name: "deferred-fill-payload",
-        scope: "`TranslationBuffer` impls",
-        summary: "`supports_deferred_fill()` with a payload-dependent `insert` or missing `patch_ppn` override",
     },
     RuleInfo {
         name: "stale-allow",
@@ -432,8 +373,14 @@ struct FilePass {
 }
 
 /// Runs the per-file lexical layer: allow collection plus the v1 token
-/// rules. `code` must be the code-token stream of the file.
-fn lexical_pass(rel: &str, code: &[Tok], comments: &[LineComment]) -> FilePass {
+/// rules. `code` must be the code-token stream of the file;
+/// `in_result_crate` turns on the result-crate-scoped rules.
+fn lexical_pass(
+    rel: &str,
+    code: &[Tok],
+    comments: &[LineComment],
+    in_result_crate: bool,
+) -> FilePass {
     let regions = test_regions(code);
     let in_test = |line: usize| regions.iter().any(|&(a, b)| line >= a && line <= b);
 
@@ -483,7 +430,6 @@ fn lexical_pass(rel: &str, code: &[Tok], comments: &[LineComment]) -> FilePass {
         }
     };
 
-    let in_result_crate = RESULT_CRATES.iter().any(|p| rel.starts_with(p));
     let hot = HOT_PATHS.contains(&rel);
 
     for (i, t) in code.iter().enumerate() {
@@ -568,36 +514,6 @@ fn lexical_pass(rel: &str, code: &[Tok], comments: &[LineComment]) -> FilePass {
                     t.text
                 ),
             ),
-            "spawn" | "scope"
-                if hot
-                    && !rel.ends_with("pool.rs")
-                    && prev(1) == ":"
-                    && prev(2) == ":"
-                    && prev(3) == "thread" =>
-            {
-                push(
-                    t.line,
-                    "engine-spawn",
-                    format!(
-                        "thread::{} in the engine hot path: all engine parallelism must go \
-                         through gpu-sim/src/pool.rs (the worker pool / scoped drain \
-                         executor), which owns lane routing, panic propagation and \
-                         deterministic merges",
-                        t.text
-                    ),
-                )
-            }
-            "Mutex" | "RwLock" if hot => push(
-                t.line,
-                "engine-lock",
-                format!(
-                    "{} in the engine hot path: the two-phase engine stays deterministic \
-                     by construction (SM-private phase A, SM-ordered phase B) — locks \
-                     reintroduce scheduler-ordered sharing; move owned data over channels \
-                     instead",
-                    t.text
-                ),
-            ),
             _ => {}
         }
     }
@@ -611,14 +527,15 @@ fn lexical_pass(rel: &str, code: &[Tok], comments: &[LineComment]) -> FilePass {
 
 /// Lints one source file in isolation (lexical layer only — the graph
 /// analyses need the whole workspace; see [`lint_tree`]). Stale allows
-/// are not reported here for the same reason.
+/// are not reported here for the same reason, and without the graph the
+/// file is conservatively treated as part of a result crate.
 pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
     if skipped_path(rel) {
         return Vec::new();
     }
     let lexed = lexer::lex(src);
     let code = lexed.code_tokens();
-    let pass = lexical_pass(rel, &code, &lexed.comments);
+    let pass = lexical_pass(rel, &code, &lexed.comments, true);
     let allowed = |line: usize, rule: &str| {
         pass.allows
             .iter()
@@ -646,8 +563,9 @@ pub struct TreeReport {
 }
 
 /// Recursively lints every `.rs` file under `root/src` and
-/// `root/crates`: the lexical layer per file, then the workspace graph
-/// analyses (taint, phase safety, allow hygiene).
+/// `root/crates`: the workspace graph first (it decides which crates
+/// produce results), then the lexical layer per file, then the graph
+/// analyses (taint, allow hygiene).
 pub fn lint_tree(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(lint_tree_report(root)?.violations)
 }
@@ -663,9 +581,7 @@ pub fn lint_tree_report(root: &Path) -> io::Result<TreeReport> {
     }
     files.sort();
 
-    let mut fired: Vec<Violation> = Vec::new();
-    let mut bad_allows: Vec<Violation> = Vec::new();
-    let mut allow_sites: Vec<(String, AllowSite)> = Vec::new();
+    let mut lexed_files: Vec<(String, Vec<Tok>, Vec<LineComment>)> = Vec::new();
     let mut parsed: Vec<ParsedFile> = Vec::new();
     for (rel, path) in files {
         let src = fs::read_to_string(&path)?;
@@ -673,15 +589,23 @@ pub fn lint_tree_report(root: &Path) -> io::Result<TreeReport> {
             continue;
         }
         let lexed = lexer::lex(&src);
-        let code = lexed.code_tokens();
-        let pass = lexical_pass(&rel, &code, &lexed.comments);
-        fired.extend(pass.fired);
-        bad_allows.extend(pass.bad_allows);
-        allow_sites.extend(pass.allows.into_iter().map(|a| (rel.clone(), a)));
+        lexed_files.push((rel.clone(), lexed.code_tokens(), lexed.comments.clone()));
         parsed.push(parser::parse_file(&rel, lexed));
     }
 
     let ws = graph::Workspace::build(parsed);
+    let result_crates = taint::result_crates(&ws);
+
+    let mut fired: Vec<Violation> = Vec::new();
+    let mut bad_allows: Vec<Violation> = Vec::new();
+    let mut allow_sites: Vec<(String, AllowSite)> = Vec::new();
+    for (rel, code, comments) in &lexed_files {
+        let in_result_crate = result_crates.contains(&parser::crate_of(rel));
+        let pass = lexical_pass(rel, code, comments, in_result_crate);
+        fired.extend(pass.fired);
+        bad_allows.extend(pass.bad_allows);
+        allow_sites.extend(pass.allows.into_iter().map(|a| (rel.clone(), a)));
+    }
 
     // Allow lookup for the graph analyses: (file, line) -> rules.
     let mut allow_map: taint::Allows = BTreeMap::new();
@@ -694,10 +618,9 @@ pub fn lint_tree_report(root: &Path) -> io::Result<TreeReport> {
 
     let taint_report = taint::analyze(&ws, &allow_map);
     fired.extend(taint_report.violations);
-    fired.extend(phase::analyze(&ws));
 
-    // Dedupe by (file, line, rule): the lexical and graph layers can
-    // both fire on the same token (e.g. engine-spawn in a hot file).
+    // Dedupe by (file, line, rule): a rule can fire more than once on
+    // one line.
     fired.sort();
     fired.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
 
@@ -891,7 +814,24 @@ pub fn to_github(violations: &[Violation]) -> String {
 mod tests {
     use super::*;
 
-    const F: &str = "crates/tlb/src/lib.rs"; // in a result crate, not hot
+    const F: &str = "crates/tlb/src/lib.rs"; // not hot
+
+    /// A result sink: any crate holding this file is a result crate.
+    const SINK: &str = "pub struct SimReport;\npub fn emit(_r: &SimReport) {}\n";
+
+    /// Writes `files` (relative path, source) under a fresh temp tree,
+    /// lints it, removes it, and returns the findings.
+    fn lint_fixture(tag: &str, files: &[(&str, &str)]) -> Vec<Violation> {
+        let dir = std::env::temp_dir().join(format!("simlint-{tag}-{}", std::process::id()));
+        for (rel, src) in files {
+            let path = dir.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, src).unwrap();
+        }
+        let v = lint_tree(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        v
+    }
 
     #[test]
     fn hashmap_in_result_crate_is_flagged() {
@@ -903,8 +843,20 @@ mod tests {
 
     #[test]
     fn hashmap_outside_result_crates_is_fine() {
-        let v = lint_source("crates/bench/src/lib.rs", "use std::collections::HashMap;\n");
-        assert!(v.is_empty());
+        // Only a crate holding something a result sink reaches is in
+        // scope: the same file is clean in a sink-free crate and flagged
+        // once its crate produces results.
+        let map = "use std::collections::HashMap;\n";
+        assert!(lint_fixture("no-sink", &[("crates/tool/src/lib.rs", map)]).is_empty());
+        let v = lint_fixture(
+            "with-sink",
+            &[
+                ("crates/tool/src/lib.rs", map),
+                ("crates/tool/src/report.rs", SINK),
+            ],
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "hash-iter");
     }
 
     #[test]
@@ -959,46 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_lock_only_in_hot_files() {
-        let src = "use std::sync::Mutex;\nfn f() { let _l = std::sync::RwLock::new(0u8); }\n";
-        let v = lint_source("crates/gpu-sim/src/engine.rs", src);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().all(|v| v.rule == "engine-lock"), "{v:?}");
-        // The private/shared split is hot too.
-        let v = lint_source("crates/mem-hier/src/split.rs", "use std::sync::Mutex;\n");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "engine-lock");
-        // Outside the hot path, locks are allowed.
-        assert!(lint_source(F, src).is_empty());
-        // Channels are the sanctioned mechanism and never flagged.
-        assert!(lint_source(
-            "crates/gpu-sim/src/engine.rs",
-            "use std::sync::mpsc::{channel, Sender};\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn engine_spawn_only_in_hot_files_and_not_in_pool() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\nfn g() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
-        let v = lint_source("crates/gpu-sim/src/engine.rs", src);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().all(|v| v.rule == "engine-spawn"), "{v:?}");
-        // The sharded drain is hot too.
-        let v = lint_source("crates/mem-hier/src/drain.rs", "fn f() { std::thread::spawn(|| {}); }\n");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "engine-spawn");
-        // pool.rs is the sanctioned parallelism module.
-        assert!(lint_source("crates/gpu-sim/src/pool.rs", src).is_empty());
-        // Unrelated identifiers named `scope`/`spawn` are fine.
-        assert!(lint_source(
-            "crates/gpu-sim/src/engine.rs",
-            "fn f(scope: u8) -> u8 { scope }\nfn g() { self.spawn(); }\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
     fn trailing_allow_suppresses_with_reason() {
         let src = "use std::collections::HashMap; // simlint: allow(hash-iter, reason = \"keyed access only\")\n";
         assert!(lint_source(F, src).is_empty());
@@ -1029,9 +941,10 @@ mod tests {
 
     #[test]
     fn graph_rules_are_allowable() {
-        for r in ["taint-reaches-report", "phase-a-shared", "deferred-fill-payload"] {
-            assert!(RULES.contains(&r), "{r} must be waivable");
-        }
+        assert!(
+            RULES.contains(&"taint-reaches-report"),
+            "graph rules must be waivable"
+        );
         for r in ["stale-allow", "bad-allow"] {
             assert!(!RULES.contains(&r), "{r} must not be waivable");
         }
@@ -1082,12 +995,12 @@ mod tests {
         let v = vec![Violation {
             file: "crates/x/src/a.rs".into(),
             line: 3,
-            rule: "phase-a-shared".into(),
+            rule: "taint-reaches-report".into(),
             message: "multi\nline \"msg\"".into(),
         }];
         let s = to_sarif(&v);
         assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"ruleId\": \"phase-a-shared\""));
+        assert!(s.contains("\"ruleId\": \"taint-reaches-report\""));
         assert!(s.contains("\"startLine\": 3"));
         assert!(s.contains("multi\\nline \\\"msg\\\""));
         // Every known rule is declared in the tool driver.
@@ -1097,7 +1010,7 @@ mod tests {
         let g = to_github(&v);
         assert_eq!(
             g,
-            "::error file=crates/x/src/a.rs,line=3,title=simlint(phase-a-shared)::multi%0Aline \"msg\"\n"
+            "::error file=crates/x/src/a.rs,line=3,title=simlint(taint-reaches-report)::multi%0Aline \"msg\"\n"
         );
     }
 
@@ -1116,18 +1029,18 @@ mod tests {
 
     #[test]
     fn injected_violations_in_a_fixture_tree_are_caught() {
-        let dir = std::env::temp_dir().join(format!("simlint-fixture-{}", std::process::id()));
-        let src_dir = dir.join("crates/vmem/src");
-        fs::create_dir_all(&src_dir).unwrap();
-        fs::write(
-            src_dir.join("bad.rs"),
-            "use std::collections::HashMap;\n\
-             fn t() -> std::time::Instant { std::time::Instant::now() }\n\
-             fn c(vpn: u64, n: usize) -> usize { (vpn as usize) % n }\n",
-        )
-        .unwrap();
-        let v = lint_tree(&dir).unwrap();
-        fs::remove_dir_all(&dir).unwrap();
+        let v = lint_fixture(
+            "fixture",
+            &[
+                (
+                    "crates/vmem/src/bad.rs",
+                    "use std::collections::HashMap;\n\
+                     fn t() -> std::time::Instant { std::time::Instant::now() }\n\
+                     fn c(vpn: u64, n: usize) -> usize { (vpn as usize) % n }\n",
+                ),
+                ("crates/vmem/src/report.rs", SINK),
+            ],
+        );
         let rules: Vec<&str> = v.iter().map(|v| v.rule.as_str()).collect();
         assert!(rules.contains(&"hash-iter"), "{v:?}");
         assert!(rules.contains(&"wall-clock"), "{v:?}");
@@ -1161,63 +1074,66 @@ mod tests {
 
     #[test]
     fn used_allow_is_not_stale() {
-        let dir = std::env::temp_dir().join(format!("simlint-used-{}", std::process::id()));
-        let src_dir = dir.join("crates/vmem/src");
-        fs::create_dir_all(&src_dir).unwrap();
-        fs::write(
-            src_dir.join("lib.rs"),
-            "// simlint: allow(hash-iter, reason = \"keyed access only\")\n\
-             use std::collections::HashMap;\n\
-             pub fn get(m: &HashMap<u64, u64>, k: u64) -> u64 { *m.get(&k).unwrap_or(&0) } \
-             // simlint: allow(hash-iter, reason = \"keyed access only\")\n",
-        )
-        .unwrap();
-        let v = lint_tree(&dir).unwrap();
-        fs::remove_dir_all(&dir).unwrap();
+        let v = lint_fixture(
+            "used",
+            &[
+                (
+                    "crates/vmem/src/lib.rs",
+                    "// simlint: allow(hash-iter, reason = \"keyed access only\")\n\
+                     use std::collections::HashMap;\n\
+                     pub fn get(m: &HashMap<u64, u64>, k: u64) -> u64 { *m.get(&k).unwrap_or(&0) } \
+                     // simlint: allow(hash-iter, reason = \"keyed access only\")\n",
+                ),
+                ("crates/vmem/src/report.rs", SINK),
+            ],
+        );
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn mem_hier_is_a_result_crate_and_its_pipeline_is_hot() {
-        // The extracted hierarchy produces the simulation's timing, so it
-        // gets the full result-crate scope; its per-access pipeline files
-        // additionally get `hot-unwrap`.
-        assert!(RESULT_CRATES.contains(&"crates/mem-hier/"));
-        // The differential oracle's reference models must themselves be
-        // deterministic and cast-safe: divergence verdicts are results.
-        assert!(RESULT_CRATES.contains(&"crates/sim-oracle/"));
+        // The extracted hierarchy produces the simulation's timing, so the
+        // graph must put it in the result-crate scope; so must the
+        // differential oracle, whose divergence verdicts are results.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let ws = build_workspace(&root).expect("workspace sources readable");
+        let computed = taint::result_crates(&ws);
+        for name in ["mem-hier", "sim-oracle"] {
+            assert!(computed.contains(name), "{name} missing from {computed:?}");
+        }
+        // Its per-access pipeline files additionally get `hot-unwrap`.
         for f in [
             "crates/mem-hier/src/hierarchy.rs",
             "crates/mem-hier/src/split.rs",
             "crates/mem-hier/src/stages.rs",
             "crates/mem-hier/src/ports.rs",
-            // The deferred-fill fast paths (partitioned `insert`/`place`/
-            // `patch_ppn` and the per-organization MRU memos) all live in
-            // these files and must stay under hot-path scrutiny.
+            // The lookup fast paths (partitioned `insert`/`place` and the
+            // per-organization MRU memos) live in these files and must
+            // stay under hot-path scrutiny.
             "crates/tlb/src/set_assoc.rs",
             "crates/tlb/src/compressed.rs",
             "crates/core/src/partitioned.rs",
             // Multi-tenant hot paths: the app-interleaved co-run merge
             // runs per TB launch, and the sub-entry-sharing L2 TLB sits
-            // on the shared lookup path and claims deferred-fill support.
+            // on the shared lookup path.
             "crates/gpu-sim/src/corun.rs",
             "crates/tlb/src/sub_entry.rs",
         ] {
             assert!(HOT_PATHS.contains(&f), "{f} missing from HOT_PATHS");
         }
 
-        let dir = std::env::temp_dir().join(format!("simlint-mh-fixture-{}", std::process::id()));
-        let src_dir = dir.join("crates/mem-hier/src");
-        fs::create_dir_all(&src_dir).unwrap();
-        fs::write(
-            src_dir.join("stages.rs"),
-            "use std::collections::HashMap;\n\
-             fn s(vpn: u64, n: usize) -> usize { (vpn as u32) as usize % n }\n\
-             fn h(x: Option<u64>) -> u64 { x.unwrap() }\n",
-        )
-        .unwrap();
-        let v = lint_tree(&dir).unwrap();
-        fs::remove_dir_all(&dir).unwrap();
+        let v = lint_fixture(
+            "mh-fixture",
+            &[
+                (
+                    "crates/mem-hier/src/stages.rs",
+                    "use std::collections::HashMap;\n\
+                     fn s(vpn: u64, n: usize) -> usize { (vpn as u32) as usize % n }\n\
+                     fn h(x: Option<u64>) -> u64 { x.unwrap() }\n",
+                ),
+                ("crates/mem-hier/src/report.rs", SINK),
+            ],
+        );
         let rules: Vec<&str> = v.iter().map(|v| v.rule.as_str()).collect();
         assert!(rules.contains(&"hash-iter"), "{v:?}");
         assert!(rules.contains(&"lossy-cast"), "{v:?}");

@@ -13,9 +13,8 @@
 //! The *influence set* is the transitive callee closure of the sink
 //! items: every function whose return values or effects a sink can
 //! package into a result. A source inside the influence set is a
-//! violation — this computes what the hand-maintained `RESULT_CRATES`
-//! list used to approximate, and [`result_crates`] exposes the computed
-//! set so tests can cross-check the legacy list against the graph.
+//! violation. [`result_crates`] exposes the crates holding that set,
+//! which scope the lexical `hash-iter` and `lossy-cast` rules.
 //!
 //! A source token on a line waived for the corresponding lexical rule
 //! (`hash-iter`, `wall-clock`, `unseeded-rng`) — or for
@@ -374,7 +373,7 @@ fn find_sources(
 }
 
 /// The computed result-crate set (crates containing items the sinks can
-/// reach). This is what `RESULT_CRATES` approximates by hand.
+/// reach).
 pub fn result_crates(ws: &Workspace) -> BTreeSet<String> {
     let sinks = sink_items(ws);
     let influence = ws.reach(&sinks);

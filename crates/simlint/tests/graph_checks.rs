@@ -1,19 +1,17 @@
 //! Graph-derived cross-checks over the *real* workspace.
 //!
-//! v1 pinned the linter's scope with hand-written lists (`RESULT_CRATES`,
-//! `HOT_PATHS`) and unit tests that re-asserted their contents — which
-//! drifted every time a crate or file was added. These tests derive the
-//! same facts from the [`simlint::graph::Workspace`] item graph instead:
-//! the hand lists stay for one release cycle as a cross-check, and these
-//! assertions are the thing that actually fails when the workspace
-//! grows past them.
+//! The result-crate scope is computed from the item graph; the one
+//! hand-written scope left, `HOT_PATHS`, drifts every time a file is
+//! added. These tests derive the facts it must cover from the
+//! [`simlint::graph::Workspace`] item graph, so they fail when the
+//! workspace grows past the list.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
 use simlint::graph::Workspace;
 use simlint::parser::ItemKind;
-use simlint::{build_workspace, HOT_PATHS, RESULT_CRATES};
+use simlint::{build_workspace, HOT_PATHS};
 
 fn real_workspace() -> Workspace {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -21,49 +19,21 @@ fn real_workspace() -> Workspace {
 }
 
 #[test]
-fn hand_result_crates_match_the_computed_influence_set() {
-    let ws = real_workspace();
-    let computed = simlint::taint::result_crates(&ws);
-
-    // No dead entries: every hand-listed crate must be provably
-    // result-influencing (some item the sinks reach lives in it).
-    for entry in RESULT_CRATES {
-        let name = entry
-            .strip_prefix("crates/")
-            .and_then(|s| s.strip_suffix('/'))
-            .expect("RESULT_CRATES entries are crates/<name>/ prefixes");
-        assert!(
-            computed.contains(name),
-            "{entry} is hand-listed as a result crate but no sink reaches it; \
-             remove it from RESULT_CRATES"
-        );
-    }
-
-    // No missed crates: everything the graph proves result-influencing
-    // is either hand-listed or `bench` — the sink side itself (the CSV /
-    // BENCH_* emitters). bench is deliberately outside the *lexical*
-    // hash-iter/lossy-cast scope, but the graph taint rule covers it
-    // workspace-wide, so nondeterminism there is still caught.
-    for name in &computed {
-        let listed = RESULT_CRATES.contains(&format!("crates/{name}/").as_str())
-            || RESULT_CRATES
-                .iter()
-                .any(|e| e.strip_prefix("crates/").and_then(|s| s.strip_suffix('/')) == Some(name));
-        assert!(
-            listed || name == "bench",
-            "crate `{name}` is reachable from a result sink but not in RESULT_CRATES; \
-             add it (or extend the documented exceptions here)"
-        );
-    }
-}
-
-#[test]
 fn phase_a_entry_files_are_all_in_the_hot_path() {
-    // Every phase-A entry point (the code `hot-unwrap`/`engine-lock`
-    // exist to protect) must live in a HOT_PATHS file. v1 asserted the
-    // file names; this derives them.
+    // Every phase-A entry point (`PerSmFront` methods and the engine's
+    // `phase_a`, the code `hot-unwrap` exists to protect) must live in a
+    // HOT_PATHS file.
     let ws = real_workspace();
-    let entries = simlint::phase::phase_a_entries(&ws);
+    let entries = ws.items_where(|w, id| {
+        let it = w.item(id);
+        if it.kind != ItemKind::Fn || it.is_test || w.krate(id) == "simlint" {
+            return false;
+        }
+        match &it.self_ty {
+            Some(ty) => ty == "PerSmFront",
+            None => it.name == "phase_a",
+        }
+    });
     assert!(!entries.is_empty(), "no phase-A entry points found — parser regression?");
     for id in entries {
         let rel = ws.rel(id);
@@ -110,39 +80,6 @@ fn translation_buffer_impls_are_hot_or_documented_exceptions() {
         assert!(
             impl_files.contains(e),
             "exception {e} ({why}) no longer implements TranslationBuffer; drop it"
-        );
-    }
-}
-
-#[test]
-fn shared_state_definitions_live_in_the_hierarchy_or_the_walk_machinery() {
-    // The phase-safety FORBIDDEN types must be defined either in a
-    // HOT_PATHS file (the hierarchy split that phase B drains) or in
-    // `crates/vmem/` (walkers and address spaces, which only run behind
-    // the drain). A definition anywhere else means phase-B state leaked
-    // into a layer the phase analysis does not know about.
-    let ws = real_workspace();
-    let mut found = BTreeSet::new();
-    for id in ws.items_where(|w, i| {
-        let it = w.item(i);
-        matches!(it.kind, ItemKind::Struct | ItemKind::Enum)
-            && simlint::phase::FORBIDDEN.contains(&it.name.as_str())
-    }) {
-        let rel = ws.rel(id);
-        assert!(
-            HOT_PATHS.contains(&rel) || rel.starts_with("crates/vmem/"),
-            "shared-phase type `{}` is defined in {rel}",
-            ws.item(id).name
-        );
-        found.insert(ws.item(id).name.clone());
-    }
-    // And all of them must exist somewhere: a renamed type would
-    // silently hollow out the phase-safety rule.
-    for ty in simlint::phase::FORBIDDEN {
-        assert!(
-            found.contains(ty),
-            "FORBIDDEN type `{ty}` is not defined anywhere; update phase::FORBIDDEN \
-             for the rename"
         );
     }
 }

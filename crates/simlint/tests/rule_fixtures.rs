@@ -5,10 +5,10 @@
 //! would miss the same bug in the real workspace.
 //!
 //! Each test materializes the fixture under a unique temp directory and
-//! runs the full [`simlint::lint_tree`] pipeline (lexical pass, item
-//! graph, taint + phase analyses, allow hygiene) — not the per-module
-//! unit entry points, which have their own positive/negative pairs in
-//! `src/taint.rs` and `src/phase.rs`.
+//! runs the full [`simlint::lint_tree`] pipeline (item graph, lexical
+//! pass, taint analysis, allow hygiene) — not the per-module unit entry
+//! points, which have their own positive/negative pairs in
+//! `src/taint.rs`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -31,42 +31,17 @@ fn write_tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
 }
 
 /// The clean baseline: a report path over keyed (non-iterating) hash
-/// access, a phase-A front that touches only private state, and a
-/// deferred-fill TLB whose insert ignores its payload. `crates/repro/`
-/// is deliberately outside `RESULT_CRATES`, so anything these tests
-/// catch comes from the graph analyses, not the v1 lexical scope.
+/// access. `crates/repro/` holds the sinks, so the graph makes it a
+/// result crate and the lexical `hash-iter` rule covers it too: every
+/// map mention carries a reasoned allow, as keyed maps in the real
+/// result crates do.
 const REPORT_RS: &str = "pub struct SimReport { pub cycles: u64 }\n\
      pub fn emit() -> SimReport { SimReport { cycles: summarize() } }\n";
 
-const AGG_CLEAN: &str = "use std::collections::HashMap;\n\
+const AGG_CLEAN: &str = "use std::collections::HashMap; // simlint: allow(hash-iter, reason = \"keyed access only\")\n\
      pub fn summarize() -> u64 {\n\
-         let m: HashMap<u64, u64> = HashMap::new();\n\
+         let m: HashMap<u64, u64> = HashMap::new(); // simlint: allow(hash-iter, reason = \"keyed access only\")\n\
          *m.get(&0).unwrap_or(&0)\n\
-     }\n";
-
-const FRONT_CLEAN: &str = "pub struct PerSmFront { sm: usize }\n\
-     impl PerSmFront {\n\
-         pub fn probe(&mut self) { helper(self.sm); }\n\
-     }\n\
-     pub fn helper(_sm: usize) {}\n";
-
-const BACK_RS: &str = "pub struct SharedBack { pub pending: u64 }\n\
-     pub fn apply_back(b: &mut SharedBack) { b.pending = 0; }\n";
-
-const TLB_CLEAN: &str = "pub struct Vpn(pub u64);\npub struct Ppn(pub u64);\n\
-     pub trait TranslationBuffer {\n\
-         fn insert(&mut self, vpn: Vpn, ppn: Ppn);\n\
-         fn supports_deferred_fill(&self) -> bool { false }\n\
-         fn patch_ppn(&mut self, vpn: Vpn, ppn: Ppn) { let _ = (vpn, ppn); }\n\
-     }\n\
-     pub struct DeferTlb { ppn: u64 }\n\
-     impl TranslationBuffer for DeferTlb {\n\
-         fn insert(&mut self, vpn: Vpn, ppn: Ppn) {\n\
-             if vpn.0 > 4 { return; }\n\
-             self.ppn = ppn.0;\n\
-         }\n\
-         fn supports_deferred_fill(&self) -> bool { true }\n\
-         fn patch_ppn(&mut self, _vpn: Vpn, ppn: Ppn) { self.ppn = ppn.0; }\n\
      }\n";
 
 /// A second sink family: a trace writer (recognized by the
@@ -75,20 +50,30 @@ const TLB_CLEAN: &str = "pub struct Vpn(pub u64);\npub struct Ppn(pub u64);\n\
 const TRACE_RS: &str = "pub struct TraceWriter { pub written: u64 }\n\
      pub fn dump() -> TraceWriter { TraceWriter { written: encode() } }\n";
 
-const ENC_CLEAN: &str = "use std::collections::HashMap;\n\
+const ENC_CLEAN: &str = "use std::collections::HashMap; // simlint: allow(hash-iter, reason = \"keyed access only\")\n\
      pub fn encode() -> u64 {\n\
-         let m: HashMap<u64, u64> = HashMap::new();\n\
+         let m: HashMap<u64, u64> = HashMap::new(); // simlint: allow(hash-iter, reason = \"keyed access only\")\n\
          *m.get(&0).unwrap_or(&0)\n\
      }\n";
 
-const BASE: [(&str, &str); 7] = [
+const BASE: [(&str, &str); 4] = [
     ("crates/repro/src/report.rs", REPORT_RS),
     ("crates/repro/src/agg.rs", AGG_CLEAN),
-    ("crates/repro/src/front.rs", FRONT_CLEAN),
-    ("crates/repro/src/back.rs", BACK_RS),
-    ("crates/repro/src/tlb_impl.rs", TLB_CLEAN),
     ("crates/repro/src/trace.rs", TRACE_RS),
     ("crates/repro/src/trace_enc.rs", ENC_CLEAN),
+];
+
+/// `(line, rule)` of every finding, in report order.
+fn lines_and_rules(v: &[simlint::Violation]) -> Vec<(usize, &str)> {
+    v.iter().map(|v| (v.line, v.rule.as_str())).collect()
+}
+
+/// An unallowed hash map iterated into a result: the lexical rule flags
+/// both map mentions (lines 1 and 3), the graph rule the iteration.
+const ITERATED: [(usize, &str); 3] = [
+    (1, "hash-iter"),
+    (3, "hash-iter"),
+    (5, simlint::taint::RULE),
 ];
 
 fn lint_and_remove(root: PathBuf) -> Vec<simlint::Violation> {
@@ -114,14 +99,15 @@ fn mutation_hash_iteration_into_report_path_is_caught() {
              s\n\
          }\n";
     let v = lint_and_remove(write_tree("mut-taint", &files));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, simlint::taint::RULE);
-    assert_eq!(v[0].file, "crates/repro/src/agg.rs");
-    assert_eq!(v[0].line, 5);
+    assert_eq!(lines_and_rules(&v), ITERATED, "{v:?}");
     assert!(
-        v[0].message.contains("`emit` → `summarize`"),
+        v.iter().all(|v| v.file == "crates/repro/src/agg.rs"),
+        "{v:?}"
+    );
+    assert!(
+        v[2].message.contains("`emit` → `summarize`"),
         "the witness call path to the sink is part of the message: {}",
-        v[0].message
+        v[2].message
     );
 }
 
@@ -131,7 +117,7 @@ fn mutation_hash_iteration_into_trace_writer_path_is_caught() {
     // bytes in a trace file would silently re-seed every downstream
     // replay, so the taint rule must treat `TraceWriter` like a report.
     let mut files = BASE;
-    files[6].1 = "use std::collections::HashMap;\n\
+    files[3].1 = "use std::collections::HashMap;\n\
          pub fn encode() -> u64 {\n\
              let m: HashMap<u64, u64> = HashMap::new();\n\
              let mut s = 0;\n\
@@ -139,14 +125,15 @@ fn mutation_hash_iteration_into_trace_writer_path_is_caught() {
              s\n\
          }\n";
     let v = lint_and_remove(write_tree("mut-trace", &files));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, simlint::taint::RULE);
-    assert_eq!(v[0].file, "crates/repro/src/trace_enc.rs");
-    assert_eq!(v[0].line, 5);
+    assert_eq!(lines_and_rules(&v), ITERATED, "{v:?}");
     assert!(
-        v[0].message.contains("`dump` → `encode`"),
+        v.iter().all(|v| v.file == "crates/repro/src/trace_enc.rs"),
+        "{v:?}"
+    );
+    assert!(
+        v[2].message.contains("`dump` → `encode`"),
         "the witness call path to the trace-writer sink is part of the message: {}",
-        v[0].message
+        v[2].message
     );
 }
 
@@ -169,155 +156,17 @@ fn mutation_wall_clock_into_report_path_is_caught() {
 }
 
 #[test]
-fn mutation_phase_a_reaching_shared_state_is_caught() {
-    let mut files = BASE;
-    files[2].1 = "pub struct PerSmFront { sm: usize }\n\
-         impl PerSmFront {\n\
-             pub fn probe(&mut self) { helper(self.sm); }\n\
-         }\n\
-         pub fn helper(_sm: usize) { let _b: Option<&SharedBack> = None; }\n";
-    let v = lint_and_remove(write_tree("mut-phase", &files));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, simlint::phase::RULE_SHARED);
-    assert_eq!(v[0].file, "crates/repro/src/front.rs");
-    assert_eq!(v[0].line, 5);
-    assert!(v[0].message.contains("SharedBack"), "{}", v[0].message);
-}
-
-#[test]
-fn mutation_payload_dependent_deferred_insert_is_caught() {
-    let mut files = BASE;
-    files[4].1 = "pub struct Vpn(pub u64);\npub struct Ppn(pub u64);\n\
-         pub trait TranslationBuffer {\n\
-             fn insert(&mut self, vpn: Vpn, ppn: Ppn);\n\
-             fn supports_deferred_fill(&self) -> bool { false }\n\
-             fn patch_ppn(&mut self, vpn: Vpn, ppn: Ppn) { let _ = (vpn, ppn); }\n\
-         }\n\
-         pub struct DeferTlb { ppn: u64 }\n\
-         impl TranslationBuffer for DeferTlb {\n\
-             fn insert(&mut self, _vpn: Vpn, ppn: Ppn) {\n\
-                 if ppn.0 == 0 { return; }\n\
-                 self.ppn = ppn.0;\n\
-             }\n\
-             fn supports_deferred_fill(&self) -> bool { true }\n\
-             fn patch_ppn(&mut self, _vpn: Vpn, ppn: Ppn) { self.ppn = ppn.0; }\n\
-         }\n";
-    let v = lint_and_remove(write_tree("mut-defer", &files));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, simlint::phase::RULE_DEFERRED);
-    assert_eq!(v[0].file, "crates/repro/src/tlb_impl.rs");
-}
-
-#[test]
-fn mutation_conditionally_deferring_insert_with_unguarded_payload_is_caught() {
-    // The PartitionedTlb shape: a *conditional* claim
-    // (`supports_deferred_fill` = "only when compression is off") whose
-    // insert keeps its payload-dependent logic under the
-    // compression guard. The mutation hoists a payload branch OUT of the
-    // guard into the deferred path — exactly the bug that would make a
-    // sentinel insert diverge from a direct one — and the rule must
-    // catch it with no allow.
-    let mut files = BASE;
-    files[4].1 = "pub struct Vpn(pub u64);\npub struct Ppn(pub u64);\n\
-         pub struct Cfg { pub compression: Option<u64> }\n\
-         pub trait TranslationBuffer {\n\
-             fn insert(&mut self, vpn: Vpn, ppn: Ppn);\n\
-             fn supports_deferred_fill(&self) -> bool { false }\n\
-             fn patch_ppn(&mut self, vpn: Vpn, ppn: Ppn) { let _ = (vpn, ppn); }\n\
-         }\n\
-         pub struct CondTlb { cfg: Cfg, ppn: u64 }\n\
-         impl TranslationBuffer for CondTlb {\n\
-             fn insert(&mut self, vpn: Vpn, ppn: Ppn) {\n\
-                 if self.cfg.compression.is_some() {\n\
-                     if ppn.0 == 0 { return; }\n\
-                     self.ppn = ppn.0;\n\
-                     return;\n\
-                 }\n\
-                 if ppn.0 == 7 { return; }\n\
-                 self.ppn = vpn.0;\n\
-             }\n\
-             fn supports_deferred_fill(&self) -> bool { self.cfg.compression.is_none() }\n\
-             fn patch_ppn(&mut self, _vpn: Vpn, ppn: Ppn) { self.ppn = ppn.0; }\n\
-         }\n";
-    let v = lint_and_remove(write_tree("mut-cond-defer", &files));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, simlint::phase::RULE_DEFERRED);
-    assert_eq!(v[0].file, "crates/repro/src/tlb_impl.rs");
-    assert_eq!(v[0].line, 17, "flagged the unguarded branch, not the licensed one");
-    assert!(
-        v[0].message.contains("branches on the payload"),
-        "{}",
-        v[0].message
-    );
-}
-
-#[test]
-fn mutation_payload_dependent_sub_entry_merge_is_caught() {
-    // The SubEntryTlb shape: one way holds per-ASID sub-entry slots and
-    // claims deferred-fill support because way victims key on stamps
-    // and slot victims on a round-robin cursor. The mutation makes the
-    // slot-merge decision branch on the incoming frame (merge only
-    // even PPNs) — a sentinel insert would then pick a different slot
-    // than the later patched fill, so the rule must flag it.
-    let mut files = BASE;
-    files[4].1 = "pub struct Vpn(pub u64);\npub struct Ppn(pub u64);\n\
-         pub trait TranslationBuffer {\n\
-             fn insert(&mut self, vpn: Vpn, ppn: Ppn);\n\
-             fn supports_deferred_fill(&self) -> bool { false }\n\
-             fn patch_ppn(&mut self, vpn: Vpn, ppn: Ppn) { let _ = (vpn, ppn); }\n\
-         }\n\
-         pub struct SubWay { pub vpn: u64, pub slots: [u64; 2], pub cursor: usize }\n\
-         pub struct SubTlb { way: SubWay }\n\
-         impl TranslationBuffer for SubTlb {\n\
-             fn insert(&mut self, vpn: Vpn, ppn: Ppn) {\n\
-                 if ppn.0 % 2 == 0 {\n\
-                     self.way.slots[self.way.cursor] = ppn.0;\n\
-                     return;\n\
-                 }\n\
-                 self.way.vpn = vpn.0;\n\
-                 self.way.cursor = (self.way.cursor + 1) % 2;\n\
-                 self.way.slots[self.way.cursor] = ppn.0;\n\
-             }\n\
-             fn supports_deferred_fill(&self) -> bool { true }\n\
-             fn patch_ppn(&mut self, _vpn: Vpn, ppn: Ppn) { self.way.slots[self.way.cursor] = ppn.0; }\n\
-         }\n";
-    let v = lint_and_remove(write_tree("mut-sub-entry-defer", &files));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, simlint::phase::RULE_DEFERRED);
-    assert_eq!(v[0].file, "crates/repro/src/tlb_impl.rs");
-}
-
-#[test]
-fn mutation_stray_thread_spawn_is_caught() {
-    let v = lint_and_remove(write_tree(
-        "mut-spawn",
-        &[
-            ("crates/repro/src/report.rs", REPORT_RS),
-            ("crates/repro/src/agg.rs", AGG_CLEAN),
-            (
-                "crates/repro/src/runner.rs",
-                "pub fn run_all() { std::thread::spawn(|| {}); }\n",
-            ),
-        ],
-    ));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, simlint::phase::RULE_SPAWN);
-    assert_eq!(v[0].file, "crates/repro/src/runner.rs");
-}
-
-#[test]
 fn allowed_injected_taint_is_suppressed_and_the_allow_counts_as_used() {
-    // End-to-end allow integration for a graph rule: the same taint
-    // mutation, but with a reasoned allow on the source line. The run
-    // must be clean — the finding suppressed AND no stale-allow echo.
+    // End-to-end allow integration for a graph rule: a taint source no
+    // lexical rule covers (a pointer-identity value feeding the report),
+    // with a reasoned allow on the source line. The run must be clean —
+    // the finding suppressed AND no stale-allow echo.
     let mut files = BASE;
-    files[1].1 = "use std::collections::HashMap;\n\
-         pub fn summarize() -> u64 {\n\
-             let m: HashMap<u64, u64> = HashMap::new();\n\
-             let mut s = 0;\n\
-             // simlint: allow(taint-reaches-report, reason = \"sum is order-independent\")\n\
-             for (_k, v) in m.iter() { s += v; }\n\
-             s\n\
+    files[1].1 = "pub fn summarize() -> u64 {\n\
+             let x = 0u64;\n\
+             // simlint: allow(taint-reaches-report, reason = \"masked to zero\")\n\
+             let p = &x as *const u64 as u64;\n\
+             p & 0\n\
          }\n";
     let v = lint_and_remove(write_tree("mut-allow", &files));
     assert!(v.is_empty(), "{v:?}");

@@ -93,11 +93,7 @@ impl TlbOutcome {
 /// VPN-indexed TLB, the enlarged Figure 2 TLB, the PACT'20 compressed TLB
 /// and the paper's TB-id-partitioned TLB (in `orchestrated-tlb`) are
 /// interchangeable.
-///
-/// `Send` is a supertrait: the engine's phase-A workers step each SM —
-/// including its private L1 TLB — on a worker thread (every TLB here is
-/// plain owned data, so this costs implementors nothing).
-pub trait TranslationBuffer: Send {
+pub trait TranslationBuffer {
     /// Probes the TLB; records a hit or miss in the stats.
     fn lookup(&mut self, req: &TlbRequest) -> TlbOutcome;
 
@@ -156,30 +152,6 @@ pub trait TranslationBuffer: Send {
     fn probe(&self, req: &TlbRequest) -> Option<Option<Ppn>> {
         let _ = req;
         None
-    }
-
-    /// Whether [`TranslationBuffer::insert`] chooses its victim and
-    /// placement independently of the inserted `ppn` value. When true,
-    /// the engine's sharded phase-B drain may fill this TLB with a
-    /// provisional sentinel frame the moment the miss is known and
-    /// [`TranslationBuffer::patch_ppn`] the real frame in after the walk
-    /// resolves, without changing which entry was evicted. Organizations
-    /// whose placement inspects the payload (e.g. the compressed TLB's
-    /// base-delta predicate) must leave this `false` (the default),
-    /// which keeps them on the serial drain.
-    fn supports_deferred_fill(&self) -> bool {
-        false
-    }
-
-    /// Replaces the stored frame of the entry tagged by `req` whose
-    /// current frame is exactly `old` with `new`, touching no replacement
-    /// or statistics state. Returns `false` when no such entry exists
-    /// (e.g. the provisional entry was evicted before the walk
-    /// resolved), which is not an error. Only meaningful when
-    /// [`TranslationBuffer::supports_deferred_fill`] is true.
-    fn patch_ppn(&mut self, req: &TlbRequest, old: Ppn, new: Ppn) -> bool {
-        let _ = (req, old, new);
-        false
     }
 
     /// Lookups served by the organization's exact MRU fast path (a

@@ -32,8 +32,7 @@ struct SubWay {
     vpn: Vpn,
     /// Monotone use-stamp for LRU among ways (larger = more recent).
     stamp: u64,
-    /// Round-robin sub-entry victim cursor — deterministic and
-    /// payload-independent, so deferred fills stay exact.
+    /// Round-robin sub-entry victim cursor (deterministic).
     next_victim: u8,
     slots: Vec<SubSlot>,
 }
@@ -307,29 +306,6 @@ impl TranslationBuffer for SubEntryTlb {
         self.config.entries
     }
 
-    // Way victims key on `(valid, stamp)` and sub-entry victims on the
-    // round-robin cursor; neither inspects the inserted frame, so the
-    // sharded drain may fill provisionally and patch later.
-    fn supports_deferred_fill(&self) -> bool {
-        true
-    }
-
-    fn patch_ppn(&mut self, req: &TlbRequest, old: Ppn, new: Ppn) -> bool {
-        let range = self.set_range(self.set_of(req.vpn));
-        if let Some(way) = self.ways[range]
-            .iter_mut()
-            .find(|w| w.valid && w.vpn == req.vpn)
-        {
-            if let Some(i) = way.slot_of(req.asid) {
-                if way.slots[i].ppn == old {
-                    way.slots[i].ppn = new;
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
     fn probe(&self, req: &TlbRequest) -> Option<Option<Ppn>> {
         Some(self.peek(req.asid, req.vpn))
     }
@@ -480,22 +456,6 @@ mod tests {
         t.insert(&areq(1, 5), Ppn::new(101));
         assert_eq!(t.stats().insertions, 1);
         assert_eq!(t.lookup(&areq(1, 5)).ppn, Some(Ppn::new(101)));
-    }
-
-    #[test]
-    fn patch_ppn_targets_only_the_owning_sub_entry() {
-        let mut t = SubEntryTlb::new(TlbConfig::new(8, 2, 1), 4);
-        assert!(t.supports_deferred_fill());
-        t.insert(&areq(1, 5), Ppn::new(100));
-        t.insert(&areq(2, 5), Ppn::new(100));
-        // Same provisional frame in both subs; only app 1's is patched.
-        assert!(t.patch_ppn(&areq(1, 5), Ppn::new(100), Ppn::new(7)));
-        assert_eq!(t.peek(Asid::new(1), Vpn::new(5)), Some(Ppn::new(7)));
-        assert_eq!(t.peek(Asid::new(2), Vpn::new(5)), Some(Ppn::new(100)));
-        // Wrong old frame / absent sub: refused.
-        assert!(!t.patch_ppn(&areq(1, 5), Ppn::new(100), Ppn::new(8)));
-        assert!(!t.patch_ppn(&areq(3, 5), Ppn::new(100), Ppn::new(8)));
-        assert_eq!(t.stats().accesses(), 0, "patching is stats-silent");
     }
 
     #[test]

@@ -20,9 +20,8 @@ pub enum Scale {
     #[default]
     Paper,
     /// Engine-throughput scale: enough trace volume that one simulation
-    /// runs for seconds, so `--sim-threads` wall-clock comparisons (the
-    /// engine bench's speedup numbers) measure steady-state behaviour
-    /// rather than startup. Translation phenomena match `Paper`; only
+    /// runs for seconds, so engine-bench wall-clock numbers measure
+    /// steady-state behaviour rather than startup. Translation phenomena match `Paper`; only
     /// the volume grows.
     Large,
 }
