@@ -1,5 +1,5 @@
 //! `engine-bench` — machine-readable throughput report for the
-//! two-phase engine, written as `BENCH_engine.json`.
+//! cycle engine, written as `BENCH_engine.json`.
 //!
 //! ```text
 //! engine-bench [--out PATH] [--reps N] [--scale S]

@@ -8,24 +8,18 @@
 //! next cycle at which any SM can make progress), which is exact for this
 //! model because all latencies are computed analytically at issue.
 //!
-//! # Two-phase execution and determinism
+//! # Step order and determinism
 //!
-//! Each event cycle runs in two phases. **Phase A** steps every
-//! event-ready SM, in SM-index order, against only its own private state
-//! (its [`SmRt`], its [`mem_hier::PerSmFront`] — L1 TLB + VIPT L1 data
-//! cache — and a per-SM outbox). **Phase B** then drains the outboxes in
-//! SM-index order, applying every shared-stage request
-//! ([`mem_hier::SharedRequest`]: L2 TLB, walkers, L2/DRAM data path) and
-//! patching warp completion times.
-//!
-//! An SM step becomes *deferring* at its first private L1 TLB miss: from
-//! that point every translation and data access of the step is queued in
-//! the outbox in program order and replayed in phase B, private L1
-//! probes included. This split defines the simulated operation order:
-//! each private structure sees the step's eager prefix followed by its
-//! in-order deferred suffix, and each shared structure sees the outboxes
-//! in SM-index order. Every policy is seeded or stateless, so runs are
-//! bit-reproducible.
+//! At each event cycle the engine steps every event-ready SM, in
+//! SM-index order. A step retires finished warps, then issues; each
+//! coalesced line of a memory instruction calls
+//! [`mem_hier::Hierarchy::translate`] and then
+//! [`mem_hier::Hierarchy::data_access`] on the spot. So each SM's private
+//! L1 TLB and L1 data cache see its accesses in program order, and the
+//! shared L2 TLB, walkers and L2/DRAM data path see the SMs' accesses in
+//! SM-index order. Every policy is seeded or stateless, so runs are
+//! bit-reproducible; `tests/step_order.rs` at the workspace root pins the
+//! resulting order.
 
 use crate::coalesce::coalesce_into;
 use crate::config::GpuConfig;
@@ -34,7 +28,7 @@ use crate::report::{SimReport, TranslationEvent};
 use crate::sanitize::{sanitize_enabled, Sanitizer};
 use crate::tb_sched::{RoundRobinScheduler, SmSnapshot, TbScheduler};
 use crate::warp_sched::{GtoWarpScheduler, WarpScheduler, WarpView};
-use mem_hier::{Access, HierarchyBuilder, PerSmFront, SharedBack, SharedRequest, TranslationRef};
+use mem_hier::{Access, Hierarchy, HierarchyBuilder, HitLevel};
 use tlb::{SetAssocTlb, TranslationBuffer};
 use vmem::{AddressSpace, Asid, PageSize, PhysAddr, Ppn, VirtAddr};
 use workloads::format::{TraceError, TraceSource};
@@ -237,10 +231,10 @@ impl Simulator {
         let page_size = spaces
             .first()
             .map_or(PageSize::default(), AddressSpace::page_size);
-        let (mut fronts, back) =
+        let (fronts, back) =
             HierarchyBuilder::new(self.config.hierarchy()).build_split_multi(spaces, l1_tlbs);
-        let mut shared = SharedState {
-            back,
+        let mut mem = MemState {
+            hier: Hierarchy::from_split(fronts, back),
             page_size,
             trace: self.trace_translations.then(Vec::new),
             sanitize,
@@ -275,8 +269,7 @@ impl Simulator {
                 &mut feed,
                 kernel_idx as u16,
                 cycle,
-                &mut fronts,
-                &mut shared,
+                &mut mem,
                 &mut report,
                 &mut sanitizer,
             )?;
@@ -285,34 +278,34 @@ impl Simulator {
                 .push((feed.name().to_owned(), cycle - start));
         }
 
+        let hier = &mem.hier;
         report.total_cycles = cycle;
-        report.l1_tlb = fronts.iter().map(|f| f.tlb().stats()).collect();
-        report.l2_tlb = shared.back.l2_tlb_stats();
-        report.l1_cache = fronts.iter().map(PerSmFront::l1_cache_stats).collect();
-        report.l2_cache = shared.back.l2_cache_stats();
-        report.walker = shared.back.walker_stats();
-        report.demand_faults = shared.back.demand_faults();
-        report.transactions = fronts.iter().map(PerSmFront::transactions).sum();
+        report.l1_tlb = hier.fronts().iter().map(|f| f.tlb().stats()).collect();
+        report.l2_tlb = hier.l2_tlb_stats();
+        report.l1_cache = hier.l1_cache_stats();
+        report.l2_cache = hier.l2_cache_stats();
+        report.walker = hier.walker_stats();
+        report.demand_faults = hier.demand_faults();
+        report.transactions = hier.transactions();
         // Memo fast-path hits across every TLB in the hierarchy.
-        report.fastpath_hits = fronts
+        report.fastpath_hits = hier
+            .fronts()
             .iter()
             .map(|f| f.tlb().fastpath_hits())
-            .chain(shared.back.l2_slices().iter().map(|s| s.fastpath_hits()))
+            .chain(hier.l2_slices().iter().map(|s| s.fastpath_hits()))
             .sum();
-        report.latency = fronts
-            .iter()
-            .fold(*shared.back.breakdown(), |a, f| a + *f.breakdown());
-        report.translation_trace = shared.trace.take().unwrap_or_default();
+        report.latency = hier.breakdown();
+        report.translation_trace = mem.trace.take().unwrap_or_default();
         // Per-app TLB counters: sums over fronts and slices, keyed by
         // ASID.
-        for front in &fronts {
+        for front in hier.fronts() {
             for (asid, stats) in front.tlb().stats_by_asid() {
                 if let Some(app) = report.per_app.get_mut(asid.index()) {
                     app.l1_tlb += stats;
                 }
             }
         }
-        for (asid, stats) in shared.back.l2_tlb_stats_by_asid() {
+        for (asid, stats) in hier.l2_tlb_stats_by_asid() {
             if let Some(app) = report.per_app.get_mut(asid.index()) {
                 app.l2_tlb = stats;
             }
@@ -321,81 +314,22 @@ impl Simulator {
     }
 }
 
-/// The shared half of the run: the order-sensitive back of the memory
-/// hierarchy plus the run-wide engine concerns (translation tracing,
+/// The memory hierarchy every SM step translates and accesses data
+/// through, plus the run-wide engine concerns (translation tracing,
 /// sanitizer enablement).
-struct SharedState {
-    back: SharedBack,
+struct MemState {
+    hier: Hierarchy,
     page_size: PageSize,
     trace: Option<Vec<TranslationEvent>>,
     /// Run full L1 TLB invariant checks after every fill.
     sanitize: bool,
 }
 
-/// Everything one SM touches during phase A: its runtime state, its
-/// private slice of the memory hierarchy, and the outbox phase B drains.
-struct Lane {
-    sm_idx: usize,
-    sm: SmRt,
-    front: PerSmFront,
-    outbox: Outbox,
-    scratch: IssueScratch,
-    /// Instructions issued this kernel (merged into the report at kernel
-    /// end).
-    instructions: u64,
-    /// Per-app completion bound: the latest `ready_at` of any retired
-    /// warp of each ASID on this SM (merged into the report by max at
-    /// kernel end).
-    app_done: Vec<u64>,
-}
-
-/// The phase-A -> phase-B boundary for one SM and one event cycle.
-#[derive(Default)]
-struct Outbox {
-    entries: Vec<OutboxEntry>,
-    /// Translate requests pushed so far (their phase-B results land at
-    /// the matching index of the per-lane `resolved` scratch).
-    n_translates: u32,
-    /// `Some(issue_limited)` when phase A left `next_event` stale because
-    /// deferred completions may move it; phase B recomputes after
-    /// patching warps.
-    recompute: Option<bool>,
-}
-
-impl Outbox {
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Queues a translate request; returns its index in the resolved-
-    /// translations sequence.
-    fn push_translate(&mut self, req: SharedRequest) -> u32 {
-        let idx = self.n_translates;
-        self.n_translates += 1;
-        self.entries.push(OutboxEntry { req, warp: None });
-        idx
-    }
-
-    /// Queues a data request whose completion cycle must fold into
-    /// `warp`'s ready time.
-    fn push_data(&mut self, req: SharedRequest, warp: usize) {
-        self.entries.push(OutboxEntry {
-            req,
-            warp: Some(warp),
-        });
-    }
-}
-
-struct OutboxEntry {
-    req: SharedRequest,
-    /// Index into `SmRt::warps` whose `ready_at` absorbs the completion
-    /// cycle (data requests); `None` for pure translations.
-    warp: Option<usize>,
-}
-
 /// One dispatch pass: places TBs while an SM has a free slot.
+#[allow(clippy::too_many_arguments)]
 fn dispatch_tbs(
-    lanes: &mut [Lane],
+    sms: &mut [SmRt],
+    hier: &Hierarchy,
     tb_scheduler: &mut Box<dyn TbScheduler>,
     feed: &mut KernelFeed<'_>,
     next_tb: &mut usize,
@@ -407,14 +341,14 @@ fn dispatch_tbs(
         // Cheap pre-check before building snapshots: most calls land here
         // with every SM saturated, so this skips the per-SM stats
         // snapshot on the hot path.
-        if lanes.iter().all(|l| l.sm.free_slots.is_empty()) {
+        if sms.iter().all(|sm| sm.free_slots.is_empty()) {
             break;
         }
         snaps.clear();
-        snaps.extend(lanes.iter().map(|lane| {
-            let stats = lane.front.tlb().stats();
+        snaps.extend(sms.iter().zip(hier.fronts()).map(|(sm, front)| {
+            let stats = front.tlb().stats();
             SmSnapshot {
-                free_slots: lane.sm.free_slots.len() as u8,
+                free_slots: sm.free_slots.len() as u8,
                 tlb_hits: stats.hits,
                 tlb_accesses: stats.accesses(),
             }
@@ -428,7 +362,7 @@ fn dispatch_tbs(
         );
         let asid = feed.asid_of(*next_tb);
         let tb = feed.tb(*next_tb)?;
-        lanes[target].sm.place_tb(tb, *next_tb as u32, cycle, asid);
+        sms[target].place_tb(tb, *next_tb as u32, cycle, asid);
         placements[target] += 1;
         *next_tb += 1;
     }
@@ -445,8 +379,7 @@ fn run_kernel(
     feed: &mut KernelFeed<'_>,
     kernel_idx: u16,
     start_cycle: u64,
-    fronts: &mut Vec<PerSmFront>,
-    shared: &mut SharedState,
+    mem: &mut MemState,
     report: &mut SimReport,
     sanitizer: &mut Option<Sanitizer>,
 ) -> Result<u64, TraceError> {
@@ -463,34 +396,25 @@ fn run_kernel(
         max_tbs = max_tbs.min(cap);
     }
 
-    let mut lanes: Vec<Lane> = fronts
-        .drain(..)
-        .enumerate()
-        .map(|(sm_idx, mut front)| {
-            front.tlb_mut().set_concurrent_tbs(max_tbs);
-            if config.flush_l1_tlb_on_kernel_launch {
-                front.tlb_mut().flush();
-            }
-            Lane {
-                sm_idx,
-                sm: SmRt::new(max_tbs, warp_scheduler_factory()),
-                front,
-                outbox: Outbox::default(),
-                scratch: IssueScratch::default(),
-                instructions: 0,
-                app_done: vec![0; report.per_app.len().max(1)],
-            }
-        })
+    for front in mem.hier.fronts_mut() {
+        front.tlb_mut().set_concurrent_tbs(max_tbs);
+        if config.flush_l1_tlb_on_kernel_launch {
+            front.tlb_mut().flush();
+        }
+    }
+    let num_apps = report.per_app.len().max(1);
+    let mut sms: Vec<SmRt> = (0..n_sms)
+        .map(|_| SmRt::new(max_tbs, warp_scheduler_factory(), num_apps))
         .collect();
     tb_scheduler.reset();
 
     let mut next_tb = 0usize;
     let mut cycle = start_cycle;
-    let mut resolved: Vec<(Ppn, u64)> = Vec::new();
     let mut snaps: Vec<SmSnapshot> = Vec::with_capacity(n_sms);
     loop {
         dispatch_tbs(
-            &mut lanes,
+            &mut sms,
+            &mem.hier,
             tb_scheduler,
             feed,
             &mut next_tb,
@@ -500,9 +424,9 @@ fn run_kernel(
         )?;
 
         // Next cycle at which any SM can make progress.
-        let Some(event) = lanes
+        let Some(event) = sms
             .iter()
-            .map(|l| l.sm.next_event())
+            .map(SmRt::next_event)
             .min()
             .filter(|&e| e < u64::MAX)
         else {
@@ -511,90 +435,66 @@ fn run_kernel(
         };
         cycle = cycle.max(event);
 
-        // Phase A: step every ready SM against private state only.
-        for lane in lanes.iter_mut().filter(|l| l.sm.next_event() <= cycle) {
-            phase_a(
-                config,
-                cycle,
-                kernel_idx,
-                shared.page_size,
-                &mut shared.trace,
-                lane,
-            );
-        }
-
-        // Phase B: drain outboxes in SM-index order, so every shared
+        // Step every ready SM in SM-index order, so every shared
         // structure sees one fixed operation order.
-        for lane in &mut lanes {
-            phase_b(lane, shared, cycle, &mut resolved);
+        for (sm_idx, sm) in sms.iter_mut().enumerate() {
+            if sm.next_event() <= cycle {
+                step_sm(config, cycle, kernel_idx, sm_idx, sm, mem);
+            }
         }
 
         if let Some(san) = sanitizer.as_mut() {
-            let tlbs: Vec<&dyn TranslationBuffer> = lanes.iter().map(|l| l.front.tlb()).collect();
+            let tlbs: Vec<&dyn TranslationBuffer> =
+                mem.hier.fronts().iter().map(|f| f.tlb()).collect();
             san.after_cycle(cycle, &tlbs, &**tb_scheduler, n_sms);
         }
     }
 
     if let Some(san) = sanitizer.as_mut() {
-        let tlbs: Vec<&dyn TranslationBuffer> = lanes.iter().map(|l| l.front.tlb()).collect();
-        san.end_of_kernel(
-            cycle,
-            &tlbs,
-            shared.back.l2_slices(),
-            report.per_app.len().max(1),
-        );
-        for lane in &lanes {
-            if let Err(e) = lane.front.check_accounting() {
+        let tlbs: Vec<&dyn TranslationBuffer> = mem.hier.fronts().iter().map(|f| f.tlb()).collect();
+        san.end_of_kernel(cycle, &tlbs, mem.hier.l2_slices(), num_apps);
+        for front in mem.hier.fronts() {
+            if let Err(e) = front.check_accounting() {
                 Sanitizer::accounting_failure(
-                    &format!("sm {} mem-hier front", lane.sm_idx),
+                    &format!("sm {} mem-hier front", front.sm()),
                     cycle,
                     e,
                 );
             }
         }
-        if let Err(e) = shared.back.check_accounting() {
+        if let Err(e) = mem.hier.back().check_accounting() {
             Sanitizer::accounting_failure("mem-hier shared back", cycle, e);
         }
     }
 
-    for lane in lanes {
-        debug_assert!(lane.outbox.is_empty());
-        report.instructions += lane.instructions;
-        report.sm_instructions[lane.sm_idx] += lane.instructions;
-        for (k, &done) in lane.app_done.iter().enumerate() {
+    for (sm_idx, sm) in sms.iter().enumerate() {
+        report.instructions += sm.instructions;
+        report.sm_instructions[sm_idx] += sm.instructions;
+        for (k, &done) in sm.app_done.iter().enumerate() {
             if let Some(app) = report.per_app.get_mut(k) {
                 app.cycles = app.cycles.max(done);
             }
         }
-        fronts.push(lane.front);
     }
     Ok(cycle)
 }
 
-/// Phase A for one SM: retire finished warps/TBs, then issue up to
-/// `issue_width` warp instructions at `cycle`, touching only the lane's
-/// private state.
-///
-/// Until the first private L1 TLB miss, translations and data probes run
-/// eagerly (hits complete here). From that miss on the step *defers*:
-/// every remaining translation and data access of the step is pushed to
-/// the outbox in program order and replayed by phase B — including
-/// private L1 probes — so each private structure sees the eager prefix
-/// followed by the in-order deferred suffix.
-fn phase_a(
+/// Steps SM `sm_idx` at `cycle`: retire finished warps/TBs, then issue up
+/// to `issue_width` warp instructions. Each memory instruction's
+/// coalesced lines translate and access data through the hierarchy on
+/// the spot, in program order, so the SM's private L1 TLB and L1 data
+/// cache see its accesses in program order and the shared stages see
+/// them in SM-index order.
+fn step_sm(
     config: &GpuConfig,
     cycle: u64,
     kernel_idx: u16,
-    page_size: PageSize,
-    trace: &mut Option<Vec<TranslationEvent>>,
-    lane: &mut Lane,
+    sm_idx: usize,
+    sm: &mut SmRt,
+    mem: &mut MemState,
 ) {
-    debug_assert!(lane.sm.next_event() <= cycle, "phase A on an idle lane");
-    debug_assert!(lane.outbox.is_empty(), "phase B must drain the outbox");
-    let sm_idx = lane.sm_idx;
-    let sm = &mut lane.sm;
-    let front = &mut lane.front;
-    let outbox = &mut lane.outbox;
+    debug_assert!(sm.next_event() <= cycle, "stepping an idle SM");
+    let page_size = mem.page_size;
 
     // Retire warps whose final op has completed; free TB slots. The
     // whole scan is skipped while `earliest_done` proves no finished
@@ -613,11 +513,13 @@ fn phase_a(
                 let slot = warp.tb_slot as usize;
                 let asid = warp.asid;
                 let done = warp.ready_at;
-                lane.app_done[asid.index()] = lane.app_done[asid.index()].max(done);
+                sm.app_done[asid.index()] = sm.app_done[asid.index()].max(done);
                 sm.slot_live_warps[slot] -= 1;
                 if sm.slot_live_warps[slot] == 0 {
                     sm.free_slots.push(slot as u8);
-                    front.tlb_mut().on_tb_finish(asid, slot as u8);
+                    mem.hier.fronts_mut()[sm_idx]
+                        .tlb_mut()
+                        .on_tb_finish(asid, slot as u8);
                 }
             } else {
                 let due = warp.ready_at;
@@ -632,7 +534,6 @@ fn phase_a(
     // GTO issue: stay greedy on the last-issued warp, then oldest. The
     // scheduler views are built once for the cycle and patched in place
     // per issue (only the issued warp changes between picks).
-    let mut deferred = false;
     let mut issued = 0u32;
     sm.build_views(cycle);
     while issued < config.issue_width {
@@ -641,7 +542,7 @@ fn phase_a(
         let warp = &mut sm.warps[w];
         let op = &warp.ops[warp.op_idx];
         warp.op_idx += 1;
-        lane.instructions += 1;
+        sm.instructions += 1;
         match op {
             WarpOp::Compute { cycles } => {
                 warp.ready_at = cycle + (*cycles as u64).max(1);
@@ -657,20 +558,19 @@ fn phase_a(
                 let IssueScratch {
                     lines,
                     translations,
-                } = &mut lane.scratch;
+                } = &mut sm.scratch;
                 translations.clear();
                 let mut lookups = 0u64;
                 coalesce_into(acc, config.l1_cache.line_bytes as u64, lines);
                 for (i, &line) in lines.iter().enumerate() {
                     let vpn = line.vpn(page_size);
-                    let tref = match translations.iter().find(|(v, _)| *v == vpn) {
-                        Some(&(_, t)) => t,
+                    let (ppn, ready) = match translations.iter().find(|(v, ..)| *v == vpn) {
+                        Some(&(_, ppn, ready)) => (ppn, ready),
                         None => {
-                            // Translation lookups leave one per cycle,
-                            // whether served eagerly or deferred.
+                            // Translation lookups leave one per cycle.
                             let at = cycle + lookups;
                             lookups += 1;
-                            if let Some(trace) = trace.as_mut() {
+                            if let Some(trace) = mem.trace.as_mut() {
                                 trace.push(TranslationEvent {
                                     sm: sm_idx as u8,
                                     tb_global: warp.tb_global,
@@ -679,7 +579,7 @@ fn phase_a(
                                     vpn: vpn.raw(),
                                 });
                             }
-                            let acc = Access {
+                            let t = mem.hier.translate(&Access {
                                 at,
                                 sm: sm_idx,
                                 asid: warp.asid,
@@ -687,79 +587,30 @@ fn phase_a(
                                 va: line,
                                 vpn,
                                 page_size,
-                            };
-                            let t = if deferred {
-                                TransRef::Pending(
-                                    outbox.push_translate(SharedRequest::TranslateReplay { acc }),
-                                )
-                            } else {
-                                let l1 = front.probe_translate(&acc);
-                                match l1.ppn {
-                                    Some(ppn) => TransRef::Done(ppn, l1.ready_at),
-                                    None => {
-                                        deferred = true;
-                                        TransRef::Pending(outbox.push_translate(
-                                            SharedRequest::TranslateMiss {
-                                                acc,
-                                                l1_ready_at: l1.ready_at,
-                                                l1_service_cycles: l1.service_cycles,
-                                            },
-                                        ))
-                                    }
-                                }
-                            };
-                            translations.push((vpn, t));
-                            t
+                            });
+                            // Any resolution below the L1 filled the SM's
+                            // L1 TLB (the path that evicts, spills and
+                            // flips sharing flags): structurally check it
+                            // post-insert.
+                            if mem.sanitize && t.level != HitLevel::L1Tlb {
+                                Sanitizer::after_fill(sm_idx, at, mem.hier.l1_tlb(sm_idx));
+                            }
+                            translations.push((vpn, t.ppn, t.ready_at));
+                            (t.ppn, t.ready_at)
                         }
                     };
                     // Transactions leave the LSU one per cycle.
-                    let min_start = cycle + i as u64;
-                    let page_offset = line.page_offset(page_size);
-                    match tref {
-                        TransRef::Done(ppn, ready) if !deferred => {
-                            let start = ready.max(min_start);
-                            let pa = PhysAddr::from_parts(ppn, page_offset, page_size);
-                            match front.probe_data(start, pa, write) {
-                                Some(d) => done = done.max(d),
-                                None => {
-                                    outbox.push_data(SharedRequest::DataBack { start, pa, write }, w)
-                                }
-                            }
-                        }
-                        // Once deferring, even resolved lines replay in
-                        // phase B so the private L1 data cache sees its
-                        // probes in program order.
-                        TransRef::Done(ppn, ready) => outbox.push_data(
-                            SharedRequest::DataReplay {
-                                translation: TranslationRef::Resolved { ppn, ready_at: ready },
-                                min_start,
-                                page_offset,
-                                write,
-                            },
-                            w,
-                        ),
-                        TransRef::Pending(idx) => outbox.push_data(
-                            SharedRequest::DataReplay {
-                                translation: TranslationRef::Pending(idx),
-                                min_start,
-                                page_offset,
-                                write,
-                            },
-                            w,
-                        ),
-                    }
+                    let start = ready.max(cycle + i as u64);
+                    let pa = PhysAddr::from_parts(ppn, line.page_offset(page_size), page_size);
+                    done = done.max(mem.hier.data_access(start, sm_idx, pa, write));
                 }
-                // Deferred completions fold in during phase B; every one
-                // of them is >= cycle + 1, so the warp's not-ready status
-                // for the rest of this cycle is already final.
                 warp.ready_at = done;
             }
         }
         let finished = warp.op_idx >= warp.ops.len();
         if finished {
             // The warp just issued its final op: it becomes retirable at
-            // its completion (phase B only ever moves that later, so the
-            // bound stays conservative).
+            // its completion.
             let due = warp.ready_at;
             sm.earliest_done = sm.earliest_done.min(due);
         }
@@ -771,55 +622,7 @@ fn phase_a(
     // which requires at least one issue this cycle — guaranteed by
     // `issued >= issue_width` only when the width is non-zero.
     let issue_limited = config.issue_width > 0 && issued >= config.issue_width;
-    if outbox.is_empty() {
-        sm.recompute_next_event(cycle, issue_limited);
-    } else {
-        // next_event depends on deferred completion cycles; phase B
-        // recomputes after patching the warps.
-        outbox.recompute = Some(issue_limited);
-    }
-}
-
-/// Phase B for one SM: apply its deferred shared-stage requests in push
-/// order against the shared back (and its own front for replays), patch
-/// warp completion times, then settle `next_event`.
-fn phase_b(lane: &mut Lane, shared: &mut SharedState, cycle: u64, resolved: &mut Vec<(Ppn, u64)>) {
-    if lane.outbox.is_empty() {
-        debug_assert!(lane.outbox.recompute.is_none());
-        return;
-    }
-    resolved.clear();
-    let front = &mut lane.front;
-    for entry in lane.outbox.entries.drain(..) {
-        let resp = shared.back.apply(front, &entry.req, resolved);
-        if let Some(ppn) = resp.ppn {
-            resolved.push((ppn, resp.ready_at));
-            // Any resolution below the L1 filled the SM's L1 TLB (the
-            // path that evicts, spills and flips sharing flags):
-            // structurally check it post-insert.
-            if shared.sanitize && resp.filled_l1 {
-                if let Some(acc) = entry.req.translate_acc() {
-                    Sanitizer::after_fill(acc.sm, acc.at, front.tlb());
-                }
-            }
-        }
-        if let Some(w) = entry.warp {
-            let warp = &mut lane.sm.warps[w];
-            warp.ready_at = warp.ready_at.max(resp.ready_at);
-        }
-    }
-    lane.outbox.n_translates = 0;
-    if let Some(issue_limited) = lane.outbox.recompute.take() {
-        lane.sm.recompute_next_event(cycle, issue_limited);
-    }
-}
-
-/// A phase-A reference to a translation: resolved eagerly (L1 TLB hit)
-/// or pending at an outbox index.
-#[derive(Copy, Clone)]
-enum TransRef {
-    Done(Ppn, u64),
-    Pending(u32),
+    sm.recompute_next_event(cycle, issue_limited);
 }
 
 /// Reusable per-issue scratch buffers: one warp memory instruction's
@@ -828,7 +631,8 @@ enum TransRef {
 #[derive(Default)]
 struct IssueScratch {
     lines: Vec<VirtAddr>,
-    translations: Vec<(vmem::Vpn, TransRef)>,
+    /// `(vpn, ppn, ready_at)` per distinct page, in lookup order.
+    translations: Vec<(vmem::Vpn, Ppn, u64)>,
 }
 
 /// Runtime state of one resident warp.
@@ -863,18 +667,25 @@ struct SmRt {
     view_warps: Vec<usize>,
     next_event: u64,
     /// Lower bound on the earliest cycle any finished warp can retire
-    /// (`u64::MAX` when none is pending). Phase-B patches only push
-    /// completion times later, so the bound stays valid and the per-step
-    /// retire scan can be skipped outright while `cycle` is below it —
-    /// a skipped scan provably would have retired nothing.
+    /// (`u64::MAX` when none is pending), so the per-step retire scan can
+    /// be skipped outright while `cycle` is below it — a skipped scan
+    /// provably would have retired nothing.
     earliest_done: u64,
     /// Retired warps still occupying `warps` (drives compaction without
     /// a per-step recount).
     retired_warps: usize,
+    scratch: IssueScratch,
+    /// Instructions issued this kernel (merged into the report at kernel
+    /// end).
+    instructions: u64,
+    /// Per-app completion bound: the latest `ready_at` of any retired
+    /// warp of each ASID on this SM (merged into the report by max at
+    /// kernel end).
+    app_done: Vec<u64>,
 }
 
 impl SmRt {
-    fn new(max_tbs: u8, scheduler: Box<dyn WarpScheduler>) -> Self {
+    fn new(max_tbs: u8, scheduler: Box<dyn WarpScheduler>, num_apps: usize) -> Self {
         SmRt {
             warps: Vec::new(),
             free_slots: (0..max_tbs).rev().collect(),
@@ -886,6 +697,9 @@ impl SmRt {
             next_event: u64::MAX,
             earliest_done: u64::MAX,
             retired_warps: 0,
+            scratch: IssueScratch::default(),
+            instructions: 0,
+            app_done: vec![0; num_apps],
         }
     }
 

@@ -120,8 +120,8 @@ impl Sanitizer {
     }
 
     /// Full structural check of one SM's L1 TLB, called after a fill (the
-    /// path that evicts, spills and flips sharing flags). Fills only
-    /// happen in phase B.
+    /// path that evicts, spills and flips sharing flags): the engine runs
+    /// it after every translation that resolved below the L1.
     pub(crate) fn after_fill(sm: usize, cycle: u64, tlb: &dyn TranslationBuffer) {
         if let Err(v) = tlb.check_invariants() {
             report(v.in_context(&format!("sm {sm} L1 TLB, post-fill at cycle {cycle}")));
@@ -129,9 +129,9 @@ impl Sanitizer {
     }
 
     /// Cheap per-event-cycle checks: per-SM stats monotone and internally
-    /// consistent, scheduler status table within budget. Runs after phase
-    /// B, so the borrowed TLB views are collected from the per-SM fronts
-    /// at a phase boundary.
+    /// consistent, scheduler status table within budget. Runs once every
+    /// ready SM has stepped, over TLB views borrowed from the per-SM
+    /// fronts.
     pub(crate) fn after_cycle(
         &mut self,
         cycle: u64,

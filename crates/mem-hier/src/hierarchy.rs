@@ -1,5 +1,5 @@
 //! Composition of the split pipeline ([`PerSmFront`]s + [`SharedBack`])
-//! behind the serial `translate`/`data_access` façade.
+//! behind the `translate`/`data_access` façade the engine drives.
 
 use crate::breakdown::{LatencyBreakdown, TranslationBreakdown};
 use crate::config::HierarchyConfig;
@@ -37,11 +37,11 @@ pub struct Translation {
 /// icnt -> L2 TLB -> walkers) and the data path (VIPT L1 -> L2 ->
 /// DRAM), with per-level latency attribution for every translation.
 ///
-/// Internally this is the [`PerSmFront`]/[`SharedBack`] split the
-/// two-phase engine works with directly (via
-/// [`HierarchyBuilder::build_split`]); this façade fuses the two halves
-/// back into one call shape for tests and simple callers. Both paths
-/// run the identical stage code.
+/// Internally this is one [`PerSmFront`] per SM plus the [`SharedBack`]
+/// ([`HierarchyBuilder::build_split`]). The façade is the one access
+/// path: the engine steps every SM's translations and data accesses
+/// through [`Hierarchy::translate`] and [`Hierarchy::data_access`], and
+/// so do perfbench and the tests.
 ///
 /// Stage timing contract: each stage's outcome satisfies
 /// `ready_at == access.at + queue + service + fault` (debug-asserted
@@ -55,15 +55,10 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Reassembles a façade from split halves (the inverse of
-    /// [`Hierarchy::into_split`]).
+    /// Assembles the façade from split halves (as built by
+    /// [`HierarchyBuilder::build_split_multi`]).
     pub fn from_split(fronts: Vec<PerSmFront>, back: SharedBack) -> Self {
         Hierarchy { fronts, back }
-    }
-
-    /// Tears the façade into its phase-A/phase-B halves.
-    pub fn into_split(self) -> (Vec<PerSmFront>, SharedBack) {
-        (self.fronts, self.back)
     }
 
     /// Translates one page access; returns the frame, the cycle it is
@@ -208,8 +203,8 @@ impl HierarchyBuilder {
         HierarchyBuilder { config }
     }
 
-    /// Assembles the pipeline as its phase-A/phase-B halves around a
-    /// workload's address space and externally built per-SM L1 TLBs (one
+    /// Assembles the pipeline as its per-SM fronts and shared back around
+    /// a workload's address space and externally built per-SM L1 TLBs (one
     /// per SM — the engine's pluggable-organization hook).
     ///
     /// # Panics
@@ -249,8 +244,7 @@ impl HierarchyBuilder {
         (fronts, back)
     }
 
-    /// [`HierarchyBuilder::build_split`] fused back into the serial
-    /// façade.
+    /// [`HierarchyBuilder::build_split`] composed into the façade.
     ///
     /// # Panics
     ///

@@ -14,11 +14,10 @@
 //!   VIPT L1 data cache; the back owns
 //!   the order-sensitive shared stages — [`IcntLink`], [`L2TlbStage`]
 //!   (with reusable [`Ports`] arbitration), [`WalkerStage`], and the
-//!   L2/DRAM data path — applied in deterministic SM order via
-//!   [`SharedRequest`]s.
-//! * [`HierarchyBuilder`] — config-driven composition into the split
-//!   halves ([`HierarchyBuilder::build_split`]) or the fused serial
-//!   [`Hierarchy`] façade.
+//!   L2/DRAM data path.
+//! * [`Hierarchy`] — one front per SM plus the back behind the
+//!   `translate`/`data_access` calls the engine, perfbench and tests all
+//!   use; [`HierarchyBuilder`] composes it from the configuration.
 //! * [`LatencyBreakdown`] — per-level attribution (L1 TLB / icnt / L2
 //!   TLB queueing / L2 TLB lookup / walk / fault) whose stage sums are
 //!   cross-checked against independently accumulated end-to-end
@@ -88,6 +87,6 @@ pub use cache::{Cache, CacheStats};
 pub use config::{CacheConfig, HierarchyConfig, L2Policy};
 pub use hierarchy::{Hierarchy, HierarchyBuilder, HitLevel, Translation};
 pub use ports::Ports;
-pub use split::{PerSmFront, SharedBack, SharedRequest, SharedResponse, TranslationRef};
+pub use split::{PerSmFront, SharedBack};
 pub use stage::{Access, Outcome, Stage, StageStats};
 pub use stages::{IcntLink, L2Slice, L2TlbStage, SliceKind, WalkerStage};

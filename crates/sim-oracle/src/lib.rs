@@ -3,8 +3,8 @@
 //!
 //! The optimized implementations in `tlb`, `orchestrated-tlb` and
 //! `gpu-sim` carry performance machinery — packed probe tags,
-//! structure-of-arrays storage, maintained counters, two-phase parallel
-//! stepping — that the paper never mentions. This crate re-states the
+//! structure-of-arrays storage, maintained counters, event-skipping
+//! retire scans — that the paper never mentions. This crate re-states the
 //! paper's mechanisms as *clarity-first reference models* (no
 //! optimizations, data layouts chosen for obviousness) and checks the
 //! optimized code against them:

@@ -72,8 +72,9 @@ use std::path::Path;
 /// Files forming the engine hot path (scope of `hot-unwrap`): the cycle
 /// loop plus every TLB organization's lookup/insert code and the
 /// private/shared hierarchy split. Cross-checked against graph-derived
-/// facts (every `TranslationBuffer` impl and every phase-A entry point
-/// must live in one of these files).
+/// facts (every `TranslationBuffer` impl, the engine's `step_sm` and the
+/// `Hierarchy`/`PerSmFront` methods it drives must live in one of these
+/// files).
 pub const HOT_PATHS: [&str; 12] = [
     "crates/gpu-sim/src/engine.rs",
     "crates/gpu-sim/src/feed.rs",

@@ -18,11 +18,15 @@ fn real_workspace() -> Workspace {
     build_workspace(&root).expect("workspace sources readable")
 }
 
+/// The engine's per-SM step function: every warp instruction issues
+/// from here.
+const ENGINE_STEP: &str = "step_sm";
+
 #[test]
-fn phase_a_entry_files_are_all_in_the_hot_path() {
-    // Every phase-A entry point (`PerSmFront` methods and the engine's
-    // `phase_a`, the code `hot-unwrap` exists to protect) must live in a
-    // HOT_PATHS file.
+fn engine_step_entry_files_are_all_in_the_hot_path() {
+    // Every per-access entry point (the engine's `step_sm` plus the
+    // `Hierarchy` and `PerSmFront` methods it calls, the code
+    // `hot-unwrap` exists to protect) must live in a HOT_PATHS file.
     let ws = real_workspace();
     let entries = ws.items_where(|w, id| {
         let it = w.item(id);
@@ -30,16 +34,23 @@ fn phase_a_entry_files_are_all_in_the_hot_path() {
             return false;
         }
         match &it.self_ty {
-            Some(ty) => ty == "PerSmFront",
-            None => it.name == "phase_a",
+            Some(ty) => ty == "PerSmFront" || ty == "Hierarchy",
+            None => it.name == ENGINE_STEP,
         }
     });
-    assert!(!entries.is_empty(), "no phase-A entry points found — parser regression?");
+    // The method entries alone would keep `entries` non-empty, so check
+    // the engine step by name: a rename must not silently drop it.
+    assert!(
+        entries
+            .iter()
+            .any(|&id| ws.item(id).name == ENGINE_STEP && ws.krate(id) == "gpu-sim"),
+        "engine step `{ENGINE_STEP}` not found in gpu-sim — renamed, or parser regression?"
+    );
     for id in entries {
         let rel = ws.rel(id);
         assert!(
             HOT_PATHS.contains(&rel),
-            "phase-A entry `{}` lives in {rel}, which is not in HOT_PATHS",
+            "per-access entry `{}` lives in {rel}, which is not in HOT_PATHS",
             ws.qual_name(id)
         );
     }

@@ -28,6 +28,10 @@ use crate::registry::BenchmarkSpec;
 use crate::scale::Scale;
 use crate::trace::Workload;
 
+/// Distinguishes the temp files of concurrent trace writers in one
+/// process.
+static TMP_WRITERS: AtomicU64 = AtomicU64::new(0);
+
 /// Everything that determines a generated workload.
 type Key = (&'static str, Scale, u64, PageSize);
 
@@ -165,8 +169,9 @@ impl WorkloadCache {
 
     /// Ensures a trace file for `spec` exists on disk and returns its
     /// path, generating and writing it if needed. Writes go through a
-    /// temp file + rename, so two processes sharing a directory never
-    /// see a half-written trace.
+    /// per-writer temp file + rename, so concurrent writers (threads or
+    /// processes sharing a directory) never see a half-written trace or
+    /// clobber each other's temp file.
     ///
     /// # Errors
     ///
@@ -194,13 +199,22 @@ impl WorkloadCache {
             })?;
         }
         let workload = spec.generate_with_page_size(scale, seed, page_size);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        format::write_workload(&tmp, &workload, spec.name, Some(scale), seed)?;
-        std::fs::rename(&tmp, &path).map_err(|source| TraceError::Io {
-            context: format!("rename {} into place", tmp.display()),
-            source,
-        })?;
-        Ok(path)
+        // One temp file per writer: threads of one process share the pid,
+        // so the counter keeps concurrent writers of a key apart. The
+        // last rename wins; every writer wrote identical bytes.
+        let writer = TMP_WRITERS.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp.{}.{writer}", std::process::id()));
+        let written = format::write_workload(&tmp, &workload, spec.name, Some(scale), seed)
+            .and_then(|_summary| {
+                std::fs::rename(&tmp, &path).map_err(|source| TraceError::Io {
+                    context: format!("rename {} into place", tmp.display()),
+                    source,
+                })
+            });
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written.map(|()| path)
     }
 
     /// Returns a [`TraceSource`] for `spec` with 4 KiB pages: a
@@ -411,6 +425,39 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_trace_both_succeed() {
+        // Two grid workers of one process racing to populate the same
+        // trace must each get the file, and leave no temp file behind.
+        let gemm = spec("gemm");
+        for round in 0..6 {
+            let dir = temp_dir(&format!("race-{round}"));
+            let cache = WorkloadCache::with_disk(&dir);
+            let barrier = std::sync::Barrier::new(2);
+            let results: Vec<_> = std::thread::scope(|s| {
+                let writers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            cache.ensure_trace_file(&gemm, Scale::Test, 42, PageSize::Small)
+                        })
+                    })
+                    .collect();
+                writers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            for r in &results {
+                assert!(r.is_ok(), "round {round}: {:?}", r.as_ref().err());
+            }
+            let leftovers: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|name| name.contains(".tmp."))
+                .collect();
+            assert!(leftovers.is_empty(), "round {round}: temp files left: {leftovers:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
