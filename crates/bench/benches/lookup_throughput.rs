@@ -13,6 +13,14 @@
 //!   the memo rarely matches because consecutive lookups differ.
 //! - `miss`: a fresh page nearly every lookup, with the miss filled
 //!   (lookup + insert), exercising eviction and memo invalidation.
+//!
+//! The `walker_pool` group times `WalkerPool::submit`, the layer behind
+//! every L2 TLB miss, at two queue depths:
+//! - `deep`: requests arrive faster than the paper's 8 walkers x 500
+//!   cycles can serve, so hundreds of walks are in flight (the
+//!   walker-bound graph runs at large scale);
+//! - `shallow`: requests arrive slower than the pool serves, so the
+//!   in-flight list stays near the walker count.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use orchestrated_tlb::{PartitionedTlb, PartitionedTlbConfig};
@@ -20,7 +28,7 @@ use std::time::Duration;
 use tlb::{
     CompressedTlb, CompressionConfig, SetAssocTlb, TlbConfig, TlbRequest, TranslationBuffer,
 };
-use vmem::{Ppn, Vpn};
+use vmem::{Ppn, Vpn, WalkerPool};
 
 /// Lookups per measured iteration (also the criterion throughput unit).
 const OPS: usize = 4096;
@@ -129,12 +137,49 @@ fn bench_lookup_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// `OPS` walk requests `gap` cycles apart, each arriving up to 400
+/// cycles early (requests from different SMs interleave out of cycle
+/// order), over a 2048-page footprint so some requests coalesce onto an
+/// in-flight walk.
+fn walk_arrivals(gap: u64) -> Vec<(u64, Vpn)> {
+    (0..OPS as u64)
+        .map(|i| {
+            let cycle = (i * gap).saturating_sub(i * 7919 % 400);
+            (cycle, Vpn::new(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 53))
+        })
+        .collect()
+}
+
+fn bench_walker_pool(c: &mut Criterion) {
+    let mut group = c.benchmark_group("walker_pool");
+    group.throughput(Throughput::Elements(OPS as u64));
+    // 8 walkers x 500 cycles serve one walk per 62.5 cycles: 50-cycle
+    // gaps build a queue of about 800 walks by the end of an iteration,
+    // 100-cycle gaps keep it within a few walks.
+    for (name, gap) in [("deep", 50), ("shallow", 100)] {
+        let arrivals = walk_arrivals(gap);
+        let mut pool = WalkerPool::new(8, 500);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                // `reset` keeps the in-flight buffers, so iterations
+                // after the first measure the warm pool.
+                pool.reset();
+                arrivals
+                    .iter()
+                    .map(|&(cycle, vpn)| pool.submit(cycle, vpn))
+                    .fold(0u64, u64::wrapping_add)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = lookup_throughput;
     config = Criterion::default()
         .sample_size(20)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_secs(1));
-    targets = bench_lookup_throughput
+    targets = bench_lookup_throughput, bench_walker_pool
 }
 criterion_main!(lookup_throughput);

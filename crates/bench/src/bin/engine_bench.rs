@@ -6,9 +6,10 @@
 //!              [--trace-cache DIR] [--trace FILE]...
 //! ```
 //!
-//! Runs the same scenarios as the `simulator_throughput` criterion bench
+//! Runs the scenarios of the `simulator_throughput` criterion bench
 //! (gemm/bfs/atax under the baseline, plus mvt under the heavier L1 TLB
-//! organizations) and records the best wall time over `--reps`
+//! organizations) and bfs under `sched+part+share`, the partitioned L1
+//! TLB's heaviest user, and records the best wall time over `--reps`
 //! repetitions (default 3) as simulated cycles per second. `--scale
 //! large` generates engine-throughput-sized inputs (seconds of
 //! simulation per run) — the configuration the throughput numbers in
@@ -57,14 +58,16 @@ use gpu_sim::GpuConfig;
 use orchestrated_tlb::Mechanism;
 use workloads::{registry, BenchmarkSpec, Scale, WorkloadCache};
 
-/// The scenarios of the `simulator_throughput` criterion groups.
-const SCENARIOS: [(&str, Mechanism); 6] = [
+/// The scenarios of the `simulator_throughput` criterion groups, plus
+/// bfs under the paper's full design.
+const SCENARIOS: [(&str, Mechanism); 7] = [
     ("gemm", Mechanism::Baseline),
     ("bfs", Mechanism::Baseline),
     ("atax", Mechanism::Baseline),
     ("mvt", Mechanism::Baseline),
     ("mvt", Mechanism::Full),
     ("mvt", Mechanism::Compression),
+    ("bfs", Mechanism::Full),
 ];
 
 /// One timed scenario: best wall time over `reps`, plus the simulated
@@ -75,6 +78,7 @@ const SCENARIOS: [(&str, Mechanism); 6] = [
 /// grid cell pays.
 fn best_of(
     reps: usize,
+    config: &GpuConfig,
     mechanism: Mechanism,
     cache: &WorkloadCache,
     spec: &BenchmarkSpec,
@@ -83,7 +87,7 @@ fn best_of(
     let mut best = f64::INFINITY;
     let mut cycles = 0u64;
     for _ in 0..reps {
-        let mut sim = mechanism.simulator(GpuConfig::dac23_baseline());
+        let mut sim = mechanism.simulator(config.clone());
         let input = cache.get_source(spec, scale, SEED);
         // simlint: allow(wall-clock, reason = "engine-bench measures host throughput; nothing flows back into simulated timing")
         let start = Instant::now();
@@ -182,6 +186,8 @@ fn main() {
         }
     }
 
+    let config = GpuConfig::dac23_baseline();
+    bench::exit_if_invalid(&config);
     let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let specs = registry();
     let mut json = String::new();
@@ -198,7 +204,7 @@ fn main() {
             .unwrap_or_else(|| panic!("benchmark {name} missing from the registry"));
         eprintln!("engine-bench: {name}/{} at --scale {scale} ...", mechanism.label());
 
-        let (best, cycles) = best_of(reps, mechanism, &cache, spec, scale);
+        let (best, cycles) = best_of(reps, &config, mechanism, &cache, spec, scale);
         let sep = if si + 1 < SCENARIOS.len() { "," } else { "" };
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"bench\": \"{name}\",");

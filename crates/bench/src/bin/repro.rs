@@ -451,6 +451,8 @@ fn main() {
     if wanted.is_empty() {
         wanted = ["table2", "2", "10", "11"].map(String::from).to_vec();
     }
+    // Every figure runs the Table III baseline or a variant of it.
+    bench::exit_if_invalid(&gpu_sim::GpuConfig::dac23_baseline());
     let mut specs = if extended { extended_registry() } else { registry() };
     if !only.is_empty() {
         specs.retain(|s| only.iter().any(|n| n == s.name));

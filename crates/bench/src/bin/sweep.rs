@@ -223,6 +223,9 @@ fn main() {
         eprintln!("--param is required");
         std::process::exit(2);
     };
+    for &value in &param.values() {
+        bench::exit_if_invalid(&param.apply(value));
+    }
     let mut specs: Vec<BenchmarkSpec> = registry();
     if !only.is_empty() {
         specs.retain(|s| only.iter().any(|n| n == s.name));

@@ -26,6 +26,16 @@ pub use grid::Grid;
 /// The seed used by every experiment (results are deterministic).
 pub const SEED: u64 = 42;
 
+/// Prints every violation and exits with status 2 unless `config` can be
+/// simulated: the command-line tools check each configuration they will
+/// run before simulating anything.
+pub fn exit_if_invalid(config: &GpuConfig) {
+    if let Err(e) = config.validate() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+}
+
 /// Enumerates the grid cells of `specs × options`, benchmark-major (all
 /// of spec 0's options first). Reassembly relies on this order:
 /// `results.chunks(options.len())` yields one benchmark's cells.

@@ -180,6 +180,88 @@ struct Way {
     owner: u8,
 }
 
+/// An ascending list of TLB sets held as at most two runs of contiguous
+/// sets: exactly what a sorted, deduplicated `Vec<usize>` of the same sets
+/// would hold, without allocating one. Walking the runs in order visits
+/// the ways of every set in ascending set order, so "first match" and
+/// "first minimum" scans see ways in the same order as a walk over the
+/// sorted list.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+struct SetSpan {
+    /// `[start, end)` set runs, ascending and disjoint; either may be
+    /// empty.
+    runs: [(u32, u32); 2],
+}
+
+impl SetSpan {
+    fn run(r: &std::ops::Range<usize>) -> (u32, u32) {
+        (r.start as u32, r.end as u32)
+    }
+
+    /// One contiguous run.
+    fn one(r: std::ops::Range<usize>) -> Self {
+        SetSpan {
+            runs: [Self::run(&r), (0, 0)],
+        }
+    }
+
+    /// Two runs that the caller guarantees are ascending and disjoint.
+    fn two(a: std::ops::Range<usize>, b: std::ops::Range<usize>) -> Self {
+        SetSpan {
+            runs: [Self::run(&a), Self::run(&b)],
+        }
+    }
+
+    /// The sorted union of two ranges: one run when they overlap or touch
+    /// (footnote-1 aliasing puts a TB and its neighbour on the same set),
+    /// otherwise the lower run first (the wrap-around neighbour of TB
+    /// `n-1` is TB 0, whose sets come first).
+    fn union(a: std::ops::Range<usize>, b: std::ops::Range<usize>) -> Self {
+        let (lo, hi) = if a.start <= b.start { (a, b) } else { (b, a) };
+        if hi.start <= lo.end {
+            Self::one(lo.start..lo.end.max(hi.end))
+        } else {
+            Self::two(lo, hi)
+        }
+    }
+
+    /// Number of sets.
+    fn len(&self) -> usize {
+        self.runs.iter().map(|&(s, e)| (e - s) as usize).sum()
+    }
+
+    /// The way-index runs covering these sets, in set order.
+    fn way_runs(&self, assoc: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.runs
+            .iter()
+            .map(move |&(s, e)| s as usize * assoc..e as usize * assoc)
+    }
+
+    /// The sets, ascending.
+    #[cfg(test)]
+    fn sets(&self) -> Vec<usize> {
+        self.runs
+            .iter()
+            .flat_map(|&(s, e)| s as usize..e as usize)
+            .collect()
+    }
+}
+
+/// One TB slot's set geometry under the current concurrency, computed
+/// when the concurrency changes so the hot path never divides.
+#[derive(Copy, Clone, Debug, Default)]
+struct SlotSets {
+    /// The slot's own group (`group_of`).
+    own: SetSpan,
+    /// What a lookup probes while the slot's sharing flag is engaged: the
+    /// own group plus the neighbour's, or every set under all-to-all
+    /// (whose flag is always engaged). With the flag clear it probes `own`.
+    shared: SetSpan,
+    /// Where a victim may be rescued to: the neighbour's group, or every
+    /// set outside the own group under all-to-all.
+    spill: SetSpan,
+}
+
 /// The TB-id-partitioned, full-VPN-tagged L1 TLB with dynamic adjacent
 /// set sharing.
 ///
@@ -222,6 +304,15 @@ pub struct PartitionedTlb {
     fastpath: u64,
     /// Fast path enable (the differential twin runs with it off).
     fastpath_on: bool,
+    /// Per-slot set spans under the current concurrency (index =
+    /// normalized slot); rebuilt by `set_concurrent_tbs`.
+    slots: Vec<SlotSets>,
+    /// Per-set natural owner (`home_tb`) under the current concurrency.
+    home: Vec<u8>,
+    /// `log2` of the compression degree (0 without compression).
+    run_shift: u32,
+    /// Compression degree minus one: the in-run page-offset mask.
+    run_mask: u64,
 }
 
 impl PartitionedTlb {
@@ -238,7 +329,8 @@ impl PartitionedTlb {
                 "compression degree must be a power of two <= 32"
             );
         }
-        PartitionedTlb {
+        let degree = cfg.compression.map_or(1, |c| c.degree as u64);
+        let mut t = PartitionedTlb {
             ways: vec![Way::default(); cfg.geometry.entries],
             cfg,
             concurrent_tbs: 16,
@@ -248,10 +340,53 @@ impl PartitionedTlb {
             per_asid: PerAsidStats::default(),
             spills: 0,
             struct_epoch: 1,
-            memo: vec![LookupMemo::invalid(); 16],
+            memo: Vec::new(),
             fastpath: 0,
             fastpath_on: true,
-        }
+            slots: Vec::new(),
+            home: Vec::new(),
+            run_shift: degree.trailing_zeros(),
+            run_mask: degree - 1,
+        };
+        t.rebuild_slots();
+        t
+    }
+
+    /// Recomputes the per-slot set spans, the per-set natural owners and
+    /// the memo table for the current concurrency. Reuses the tables'
+    /// buffers, so only a concurrency larger than any seen before
+    /// allocates.
+    fn rebuild_slots(&mut self) {
+        let n = self.groups();
+        let sets = self.cfg.geometry.sets();
+        let all_to_all = self.cfg.sharing == SharingPolicy::AllToAll;
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.clear();
+        slots.extend((0..n).map(|tb| {
+            let tb = tb as u8;
+            let own = self.group_of(tb);
+            let neighbour = self.group_of(((tb as usize + 1) % n) as u8);
+            if all_to_all {
+                SlotSets {
+                    own: SetSpan::one(own.clone()),
+                    shared: SetSpan::one(0..sets),
+                    spill: SetSpan::two(0..own.start, own.end..sets),
+                }
+            } else {
+                SlotSets {
+                    own: SetSpan::one(own.clone()),
+                    shared: SetSpan::union(own, neighbour.clone()),
+                    spill: SetSpan::one(neighbour),
+                }
+            }
+        }));
+        self.slots = slots;
+        let mut home = std::mem::take(&mut self.home);
+        home.clear();
+        home.extend((0..sets).map(|set| self.home_tb(set)));
+        self.home = home;
+        self.memo.clear();
+        self.memo.resize(n, LookupMemo::invalid());
     }
 
     /// Enables or disables the exact MRU lookup fast path (on by default;
@@ -315,7 +450,7 @@ impl PartitionedTlb {
     pub fn peek(&self, asid: Asid, vpn: Vpn, tb_slot: u8) -> Option<Ppn> {
         let tb = self.norm_slot(tb_slot);
         let sets = self.searchable_sets(asid, tb);
-        self.find(asid, &sets, vpn).map(|w| {
+        self.find(asid, sets, vpn).map(|w| {
             let way = &self.ways[w];
             if way.literal {
                 way.base_ppn
@@ -326,16 +461,16 @@ impl PartitionedTlb {
     }
 
     fn degree(&self) -> u64 {
-        self.cfg.compression.map(|c| c.degree as u64).unwrap_or(1)
+        self.run_mask + 1
     }
 
     fn run_base(&self, vpn: Vpn) -> Vpn {
-        Vpn::new(vpn.raw() & !(self.degree() - 1))
+        Vpn::new(vpn.raw() & !self.run_mask)
     }
 
     fn run_offset(&self, vpn: Vpn) -> u32 {
         // simlint: allow(lossy-cast, reason = "masked to the compression degree (<= 32) before the cast")
-        (vpn.raw() & (self.degree() - 1)) as u32
+        (vpn.raw() & self.run_mask) as u32
     }
 
     fn groups(&self) -> usize {
@@ -348,10 +483,15 @@ impl PartitionedTlb {
     /// onto the groups — mirroring the footnote-1 `tb % sets` aliasing —
     /// instead of indexing past the geometry.
     fn norm_slot(&self, tb: u8) -> u8 {
-        (tb as usize % self.groups()) as u8
+        if tb < self.concurrent_tbs {
+            tb
+        } else {
+            (tb as usize % self.groups()) as u8
+        }
     }
 
-    /// The sets owned by TB `tb` under the current concurrency.
+    /// The sets owned by TB `tb` under the current concurrency. Computed
+    /// (it divides): the hot path reads the precomputed `slots` instead.
     fn group_of(&self, tb: u8) -> std::ops::Range<usize> {
         let sets = self.cfg.geometry.sets();
         let n = self.groups();
@@ -399,21 +539,16 @@ impl PartitionedTlb {
         }
     }
 
-    /// Sets probed by a lookup from app `asid`'s TB `tb`: its own group,
-    /// plus the neighbour's when this app's sharing flag is engaged (or
-    /// every set under all-to-all sharing).
-    fn searchable_sets(&self, asid: Asid, tb: u8) -> Vec<usize> {
-        if self.cfg.sharing == SharingPolicy::AllToAll {
-            return (0..self.cfg.geometry.sets()).collect();
-        }
-        let mut sets: Vec<usize> = self.group_of(tb).collect();
+    /// Sets probed by a lookup from app `asid`'s (normalized) TB `tb`:
+    /// its own group, plus the neighbour's when this app's sharing flag is
+    /// engaged (or every set under all-to-all sharing).
+    fn searchable_sets(&self, asid: Asid, tb: u8) -> SetSpan {
+        let s = &self.slots[tb as usize];
         if self.flag_engaged(asid, tb) {
-            let neighbour = ((tb as usize + 1) % self.groups()) as u8;
-            sets.extend(self.group_of(neighbour));
-            sets.sort_unstable();
-            sets.dedup();
+            s.shared
+        } else {
+            s.own
         }
-        sets
     }
 
     fn lookup_latency(&self, sets_probed: usize, compressed_hit: bool) -> u64 {
@@ -437,19 +572,15 @@ impl PartitionedTlb {
     /// Finds the way holding app `asid`'s translation of `vpn` among
     /// `sets`. The ASID is part of the tag compare: another app's entry
     /// for the same VPN never matches.
-    fn find(&self, asid: Asid, sets: &[usize], vpn: Vpn) -> Option<usize> {
+    fn find(&self, asid: Asid, sets: SetSpan, vpn: Vpn) -> Option<usize> {
         let base = self.run_base(vpn);
-        let off = self.run_offset(vpn);
-        for &set in sets {
-            for w in self.ways_of_set(set) {
-                let way = &self.ways[w];
-                if way.valid
-                    && way.asid == asid
-                    && way.base_vpn == base
-                    && way.mask & (1 << off) != 0
-                {
-                    return Some(w);
-                }
+        let bit = 1 << self.run_offset(vpn);
+        for run in sets.way_runs(self.cfg.geometry.associativity) {
+            let hit = self.ways[run.clone()].iter().position(|way| {
+                way.base_vpn == base && way.valid && way.asid == asid && way.mask & bit != 0
+            });
+            if let Some(i) = hit {
+                return Some(run.start + i);
             }
         }
         None
@@ -465,17 +596,28 @@ impl PartitionedTlb {
         // runs spread across a multi-set group. The modulo happens in u64
         // *before* narrowing so the chosen set is identical on 32-bit
         // targets.
-        let own: Vec<usize> = self.group_of(req.tb_slot).collect();
-        let candidate = own[((req.vpn.raw() / self.degree()) % own.len() as u64) as usize];
+        let assoc = self.cfg.geometry.associativity;
+        let slot_sets = self.slots[req.tb_slot as usize];
+        let (own_start, own_end) = slot_sets.own.runs[0];
+        let own_len = u64::from(own_end - own_start);
+        let run = req.vpn.raw() >> self.run_shift;
+        let sub = if own_len.is_power_of_two() {
+            run & (own_len - 1)
+        } else {
+            run % own_len
+        };
+        let candidate = own_start as usize + sub as usize;
         // 1. An invalid way in the candidate set, then anywhere in the
         //    group.
         let empty = self
             .ways_of_set(candidate)
             .find(|&w| !self.ways[w].valid)
             .or_else(|| {
-                own.iter()
-                    .flat_map(|&s| self.ways_of_set(s))
-                    .find(|&w| !self.ways[w].valid)
+                let group = own_start as usize * assoc..own_end as usize * assoc;
+                self.ways[group.clone()]
+                    .iter()
+                    .position(|w| !w.valid)
+                    .map(|i| group.start + i)
             });
         if let Some(w) = empty {
             self.ways[w] = way;
@@ -498,17 +640,10 @@ impl PartitionedTlb {
         if self.cfg.sharing.spills() && self.ways[victim].asid == req.asid {
             // Adjacent policies spill into the next TB's group; all-to-all
             // may spill anywhere outside the own group.
-            let candidate_sets: Vec<usize> = if self.cfg.sharing == SharingPolicy::AllToAll {
-                (0..self.cfg.geometry.sets())
-                    .filter(|s| !own.contains(s))
-                    .collect()
-            } else {
-                let neighbour = ((req.tb_slot as usize + 1) % self.groups()) as u8;
-                self.group_of(neighbour).collect()
-            };
-            let slot = candidate_sets
-                .iter()
-                .flat_map(|&s| self.ways_of_set(s))
+            let slot = slot_sets
+                .spill
+                .way_runs(assoc)
+                .flatten()
                 .min_by_key(|&w| (self.ways[w].valid, self.ways[w].stamp));
             let displaceable = slot.is_some_and(|w| {
                 !self.ways[w].valid
@@ -582,7 +717,7 @@ impl TranslationBuffer for PartitionedTlb {
             }
         }
         let sets = self.searchable_sets(req.asid, req.tb_slot);
-        match self.find(req.asid, &sets, req.vpn) {
+        match self.find(req.asid, sets, req.vpn) {
             Some(w) => {
                 let compressed = self.ways[w].mask.count_ones() > 1;
                 let latency = self.lookup_latency(sets.len(), compressed);
@@ -632,7 +767,7 @@ impl TranslationBuffer for PartitionedTlb {
             // Refresh in place if the translation is already reachable
             // (and coherent-remap any stale run bit).
             let expected_base_ppn = ppn.raw().checked_sub(off as u64);
-            if let Some(w) = self.find(req.asid, &searchable, req.vpn) {
+            if let Some(w) = self.find(req.asid, searchable, req.vpn) {
                 let way = &mut self.ways[w];
                 let coherent = if way.literal {
                     way.mask == 1 << off && way.base_ppn == ppn
@@ -653,10 +788,10 @@ impl TranslationBuffer for PartitionedTlb {
             // never compress across address spaces: the candidate must
             // carry the requester's ASID.
             if let Some(expected) = expected_base_ppn {
-                let own: Vec<usize> = self.group_of(req.tb_slot).collect();
-                for &set in &own {
-                    for w in self.ways_of_set(set) {
-                        let way = &mut self.ways[w];
+                let own = self.slots[req.tb_slot as usize].own;
+                let assoc = self.cfg.geometry.associativity;
+                for run in own.way_runs(assoc) {
+                    for way in &mut self.ways[run] {
                         if way.valid
                             && way.asid == req.asid
                             && !way.literal
@@ -695,7 +830,7 @@ impl TranslationBuffer for PartitionedTlb {
 
         // Compression off: victim choice and placement depend only on the
         // VPN, the set geometry, and recency — never on `ppn`.
-        if let Some(w) = self.find(req.asid, &searchable, req.vpn) {
+        if let Some(w) = self.find(req.asid, searchable, req.vpn) {
             // Unconditional refresh-in-place: concurrent fill races for
             // the same page are benign (last writer wins, matching the
             // set-associative baseline), and no payload comparison decides
@@ -782,15 +917,19 @@ impl TranslationBuffer for PartitionedTlb {
         // `(asid, tb)`, so other apps' parked entries stay licensed.
         // (When more than 16 TBs alias one flag bit, every aliasing owner
         // is covered.)
+        // Owners are normalized slots: placement stores the normalized
+        // requester, and re-homing stores a set's natural owner.
         let assoc = self.cfg.geometry.associativity;
-        for i in 0..self.ways.len() {
-            let w = self.ways[i];
-            if !w.valid || w.asid != asid || u16::from(w.owner) % 16 != pred % 16 {
-                continue;
-            }
-            let set = i / assoc;
-            if !self.group_of(w.owner).contains(&set) {
-                self.ways[i].owner = self.home_tb(set);
+        let (slots, home) = (&self.slots, &self.home);
+        for (set, ways) in self.ways.chunks_exact_mut(assoc).enumerate() {
+            for w in ways {
+                if !w.valid || w.asid != asid || u16::from(w.owner) % 16 != pred % 16 {
+                    continue;
+                }
+                let (start, end) = slots[usize::from(w.owner)].own.runs[0];
+                if !(start..end).contains(&(set as u32)) {
+                    w.owner = home[set];
+                }
             }
         }
     }
@@ -800,15 +939,15 @@ impl TranslationBuffer for PartitionedTlb {
         if tbs != self.concurrent_tbs {
             self.concurrent_tbs = tbs;
             self.struct_epoch += 1;
-            self.memo = vec![LookupMemo::invalid(); self.groups()];
+            self.rebuild_slots();
             // Geometry changed: sharing relationships are stale, and set
             // groups moved under the resident entries — re-home everything
             // to its set's natural owner.
             self.share.clear();
             let assoc = self.cfg.geometry.associativity;
-            for i in 0..self.ways.len() {
-                if self.ways[i].valid {
-                    self.ways[i].owner = self.home_tb(i / assoc);
+            for (set, ways) in self.ways.chunks_exact_mut(assoc).enumerate() {
+                for w in ways.iter_mut().filter(|w| w.valid) {
+                    w.owner = self.home[set];
                 }
             }
         }
@@ -1495,6 +1634,83 @@ mod tests {
         // TB 0's memo.
         assert!(!t.lookup(&req(42, 1)).hit);
         assert_eq!(t.fastpath_hits(), 5);
+    }
+
+    /// The set list `searchable_sets` built before set spans: a `Vec`
+    /// sorted and deduplicated on every call.
+    fn searchable_sets_vec(t: &PartitionedTlb, asid: Asid, tb: u8) -> Vec<usize> {
+        if t.cfg.sharing == SharingPolicy::AllToAll {
+            return (0..t.cfg.geometry.sets()).collect();
+        }
+        let mut sets: Vec<usize> = t.group_of(tb).collect();
+        if t.flag_engaged(asid, tb) {
+            let neighbour = ((tb as usize + 1) % t.groups()) as u8;
+            sets.extend(t.group_of(neighbour));
+            sets.sort_unstable();
+            sets.dedup();
+        }
+        sets
+    }
+
+    /// The spill targets `place` collected before set spans.
+    fn spill_sets_vec(t: &PartitionedTlb, tb: u8) -> Vec<usize> {
+        let own: Vec<usize> = t.group_of(tb).collect();
+        if t.cfg.sharing == SharingPolicy::AllToAll {
+            (0..t.cfg.geometry.sets())
+                .filter(|s| !own.contains(s))
+                .collect()
+        } else {
+            let neighbour = ((tb as usize + 1) % t.groups()) as u8;
+            t.group_of(neighbour).collect()
+        }
+    }
+
+    #[test]
+    fn set_spans_equal_the_sorted_deduplicated_set_lists() {
+        let asid = Asid::new(3);
+        for sharing in [
+            SharingPolicy::None,
+            SharingPolicy::Adjacent,
+            SharingPolicy::AdjacentCounter { threshold: 2 },
+            SharingPolicy::AllToAll,
+        ] {
+            let mut t = PartitionedTlb::new(PartitionedTlbConfig {
+                sharing,
+                ..PartitionedTlbConfig::with_sharing()
+            });
+            assert_eq!(t.cfg.geometry.sets(), 16);
+            // 1..=32 covers even splits, uneven splits, one set per TB,
+            // and footnote-1 aliasing (several TBs per set, and the
+            // wrap-around neighbour landing on the TB's own set).
+            for n in 1..=32u8 {
+                t.set_concurrent_tbs(n);
+                for slot in 0..=u8::MAX {
+                    let tb = t.norm_slot(slot);
+                    assert!(tb < n);
+                    let slots = t.slots[tb as usize];
+                    let ctx = format!("{sharing:?} n={n} slot={slot}");
+                    let own: Vec<usize> = t.group_of(tb).collect();
+                    assert_eq!(slots.own.sets(), own, "{ctx}");
+                    assert_eq!(slots.spill.sets(), spill_sets_vec(&t, tb), "{ctx}");
+                    for engaged in [false, true] {
+                        t.share.clear();
+                        if engaged {
+                            let s = t.share_mut(asid);
+                            s.flags |= 1 << (tb % 16);
+                            s.counters[tb as usize % 16] = 2;
+                        }
+                        let span = t.searchable_sets(asid, tb);
+                        let expected = searchable_sets_vec(&t, asid, tb);
+                        assert_eq!(span.sets(), expected, "{ctx} engaged={engaged}");
+                        assert_eq!(span.len(), expected.len(), "{ctx} engaged={engaged}");
+                    }
+                }
+                t.share.clear();
+                for set in 0..16 {
+                    assert_eq!(t.home[set], t.home_tb(set), "{sharing:?} n={n} set={set}");
+                }
+            }
+        }
     }
 
     fn areq(asid: u16, vpn: u64, tb: u8) -> TlbRequest {

@@ -1,7 +1,45 @@
 //! Simulator configuration (the paper's Table III).
 
+use std::fmt;
+
 use mem_hier::{CacheConfig, HierarchyConfig, L2Policy};
 use tlb::TlbConfig;
+
+/// One reason a [`GpuConfig`] cannot be simulated.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigViolation {
+    /// The offending field, as named in [`GpuConfig`].
+    pub field: &'static str,
+    /// What is wrong with it.
+    pub reason: String,
+}
+
+/// A [`GpuConfig`] rejected by [`GpuConfig::validate`], listing every
+/// violation found (not just the first).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The violations, in [`GpuConfig`] field order.
+    pub violations: Vec<ConfigViolation>,
+}
+
+impl ConfigError {
+    /// Whether `field` is among the violations.
+    pub fn names(&self, field: &str) -> bool {
+        self.violations.iter().any(|v| v.field == field)
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid GPU configuration:")?;
+        for v in &self.violations {
+            write!(f, "\n  {}: {}", v.field, v.reason)?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Full GPU configuration.
 ///
@@ -136,6 +174,136 @@ impl GpuConfig {
         self.l2_policy = policy;
         self
     }
+
+    /// Checks that the simulator can run this configuration, listing
+    /// every violation. Each rejected value would otherwise hang the
+    /// engine (`issue_width = 0`), report an empty run as `total_cycles
+    /// = 0` (`num_sms = 0`, `max_concurrent_tbs = 0`), be silently
+    /// clamped to something else (`l2_tlb_ports = 0`,
+    /// `l2_tlb_port_occupancy = 0`), or panic deep inside a constructor
+    /// (`walkers = 0`, a TLB or cache geometry that does not divide into
+    /// sets, `l2_tlb_slices` that leave a slice with a non-power-of-two
+    /// set count).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use gpu_sim::GpuConfig;
+    ///
+    /// assert!(GpuConfig::dac23_baseline().validate().is_ok());
+    /// let bad = GpuConfig { issue_width: 0, walkers: 0, ..GpuConfig::dac23_baseline() };
+    /// let err = bad.validate().unwrap_err();
+    /// assert!(err.names("issue_width") && err.names("walkers"));
+    /// ```
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let mut violations = Vec::new();
+        let mut fail = |field: &'static str, reason: String| {
+            violations.push(ConfigViolation { field, reason });
+        };
+        if self.num_sms == 0 {
+            fail(
+                "num_sms",
+                "must be at least 1 (with no SM no TB ever runs)".into(),
+            );
+        }
+        if self.issue_width == 0 {
+            fail(
+                "issue_width",
+                "must be at least 1 (a zero-width issue stage never retires a warp)".into(),
+            );
+        }
+        if self.max_concurrent_tbs == 0 {
+            fail(
+                "max_concurrent_tbs",
+                "must be at least 1 (no TB could ever be resident)".into(),
+            );
+        }
+        for (field, c) in [("l1_cache", self.l1_cache), ("l2_cache", self.l2_cache)] {
+            if !cache_geometry_ok(&c) {
+                fail(
+                    field,
+                    format!(
+                        "{} bytes of {}-byte lines do not fill whole {}-way sets",
+                        c.bytes, c.line_bytes, c.associativity
+                    ),
+                );
+            }
+        }
+        for (field, t) in [("l1_tlb", self.l1_tlb), ("l2_tlb", self.l2_tlb)] {
+            if !tlb_geometry_ok(&t) {
+                fail(
+                    field,
+                    format!(
+                        "{} entries, {}-way: needs a power-of-two number of whole sets",
+                        t.entries, t.associativity
+                    ),
+                );
+            }
+        }
+        if self.walkers == 0 {
+            fail(
+                "walkers",
+                "must be at least 1 (no page-table walk could complete)".into(),
+            );
+        }
+        if self.l2_tlb_ports == 0 {
+            fail(
+                "l2_tlb_ports",
+                "must be at least 1 (no L2 TLB lookup could start)".into(),
+            );
+        }
+        if self.l2_tlb_slices == 0 {
+            fail("l2_tlb_slices", "must be at least 1".into());
+        } else if tlb_geometry_ok(&self.l2_tlb) {
+            // The per-slice geometry `TlbConfig::sliced` will build.
+            let per_slice =
+                (self.l2_tlb.entries / self.l2_tlb_slices).max(self.l2_tlb.associativity);
+            let slice = TlbConfig {
+                entries: per_slice,
+                ..self.l2_tlb
+            };
+            if !tlb_geometry_ok(&slice) {
+                fail(
+                    "l2_tlb_slices",
+                    format!(
+                        "{} slices of the {}-entry {}-way L2 TLB leave {per_slice} entries \
+                         per slice, not a power-of-two number of whole sets",
+                        self.l2_tlb_slices, self.l2_tlb.entries, self.l2_tlb.associativity
+                    ),
+                );
+            }
+        }
+        if self.l2_tlb_port_occupancy == 0 {
+            fail(
+                "l2_tlb_port_occupancy",
+                "must be at least 1 cycle per granted lookup".into(),
+            );
+        }
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(ConfigError { violations })
+        }
+    }
+}
+
+/// The geometry rule [`TlbConfig::new`] enforces, for a value built by
+/// struct literal.
+fn tlb_geometry_ok(t: &TlbConfig) -> bool {
+    t.entries > 0
+        && t.associativity > 0
+        && t.entries.is_multiple_of(t.associativity)
+        && (t.entries / t.associativity).is_power_of_two()
+}
+
+/// The geometry rule [`CacheConfig::new`] enforces, plus at least one
+/// set.
+fn cache_geometry_ok(c: &CacheConfig) -> bool {
+    c.bytes > 0
+        && c.associativity > 0
+        && c.line_bytes > 0
+        && c.lines().is_multiple_of(c.associativity)
+        && c.sets() > 0
 }
 
 impl Default for GpuConfig {
@@ -147,6 +315,50 @@ impl Default for GpuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_lists_every_violation_in_field_order() {
+        let bad = GpuConfig {
+            num_sms: 0,
+            issue_width: 0,
+            l2_tlb: TlbConfig {
+                entries: 96,
+                associativity: 16,
+                lookup_latency: 10,
+            },
+            walkers: 0,
+            l2_tlb_port_occupancy: 0,
+            ..GpuConfig::dac23_baseline()
+        };
+        let err = bad.validate().unwrap_err();
+        let fields: Vec<&str> = err.violations.iter().map(|v| v.field).collect();
+        assert_eq!(
+            fields,
+            [
+                "num_sms",
+                "issue_width",
+                "l2_tlb",
+                "walkers",
+                "l2_tlb_port_occupancy"
+            ]
+        );
+        let msg = err.to_string();
+        assert!(msg.starts_with("invalid GPU configuration:"), "{msg}");
+        assert_eq!(msg.lines().count(), 1 + fields.len(), "{msg}");
+    }
+
+    #[test]
+    fn validate_rejects_degenerate_cache_geometry() {
+        let bad = GpuConfig {
+            l1_cache: CacheConfig {
+                bytes: 64,
+                associativity: 4,
+                line_bytes: 128,
+            },
+            ..GpuConfig::dac23_baseline()
+        };
+        assert_eq!(bad.validate().unwrap_err().violations[0].field, "l1_cache");
+    }
 
     #[test]
     fn baseline_matches_table3() {

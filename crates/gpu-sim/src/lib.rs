@@ -51,7 +51,7 @@ mod warp_sched;
 pub use mem_hier::{Cache, CacheConfig, CacheStats, L2Policy, LatencyBreakdown, TranslationBreakdown};
 
 pub use coalesce::{coalesce, coalesce_into};
-pub use config::GpuConfig;
+pub use config::{ConfigError, ConfigViolation, GpuConfig};
 pub use corun::{jain_fairness, system_throughput};
 pub use engine::{L1TlbFactory, Simulator, WarpSchedulerFactory};
 pub use report::{AppReport, SimReport, TranslationEvent};

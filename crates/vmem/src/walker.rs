@@ -7,6 +7,9 @@
 //! later. Concurrent walks for the *same* VPN coalesce onto the in-flight
 //! walk, as the MSHR-style merging in MASK/gem5-gpu does.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::addr::Vpn;
 
 /// A submitted walk request.
@@ -72,10 +75,17 @@ pub struct WalkerPool {
     /// Next-free cycle per walker.
     free_at: Vec<u64>,
     latency: u64,
-    /// In-flight walks as `(vpn, completion cycle)` pairs with unique
-    /// VPNs. Lazy pruning bounds the list to a few times the walker
-    /// count, so a linear scan beats an ordered map on every submit.
+    /// The most recent walk per VPN as `(vpn, completion cycle)`, sorted
+    /// by VPN (unique keys), binary-searched on every submit. Entries
+    /// whose walk has completed stay until a prune removes them.
     in_flight: Vec<(Vpn, u64)>,
+    /// Min-heap of `(completion cycle, vpn)` with at least one element
+    /// per `in_flight` entry, so a prune pops exactly the completed walks
+    /// instead of scanning the list. A walk re-issued for a VPN leaves
+    /// its old element behind as stale (it no longer matches the
+    /// entry); pops skip those, and [`WalkerPool::compact`] drops them
+    /// once they outnumber the live ones.
+    expiry: BinaryHeap<Reverse<(u64, Vpn)>>,
     stats: WalkerStats,
 }
 
@@ -92,6 +102,7 @@ impl WalkerPool {
             free_at: vec![0; walkers],
             latency,
             in_flight: Vec::new(),
+            expiry: BinaryHeap::new(),
             stats: WalkerStats::default(),
         }
     }
@@ -107,12 +118,14 @@ impl WalkerPool {
     /// Like [`WalkerPool::submit`] with an explicit per-walk latency
     /// (e.g. radix walks whose cost depends on the levels touched).
     pub fn submit_with_latency(&mut self, cycle: u64, vpn: Vpn, latency: u64) -> u64 {
-        // Drop completed walks from the in-flight list lazily.
+        // Drop completed walks lazily, once the list outgrows a few
+        // times the walker count. Arrivals are not monotonic across SMs,
+        // so "completed" is relative to this request's cycle.
         if self.in_flight.len() > 4 * self.free_at.len() {
-            self.in_flight.retain(|&(_, done)| done > cycle);
+            self.prune(cycle);
         }
-        let slot = self.in_flight.iter().position(|&(v, _)| v == vpn);
-        if let Some(i) = slot {
+        let slot = self.in_flight.binary_search_by_key(&vpn, |&(v, _)| v);
+        if let Ok(i) = slot {
             let done = self.in_flight[i].1;
             if done > cycle {
                 self.stats.coalesced += 1;
@@ -130,15 +143,70 @@ impl WalkerPool {
         let wait = begin - cycle;
         let done = begin + latency;
         self.free_at[idx] = done;
-        // Unique VPNs: refresh a stale slot in place, else append.
+        // Unique VPNs: refresh a completed entry in place, else insert in
+        // VPN order. A refresh never lowers `done` (the old walk ended at
+        // or before `cycle`, the new one ends at or after it), and an
+        // unchanged value already has its heap element.
         match slot {
-            Some(i) => self.in_flight[i].1 = done,
-            None => self.in_flight.push((vpn, done)),
+            Ok(i) => {
+                if self.in_flight[i].1 != done {
+                    self.in_flight[i].1 = done;
+                    self.expiry.push(Reverse((done, vpn)));
+                }
+            }
+            Err(i) => {
+                self.in_flight.insert(i, (vpn, done));
+                self.expiry.push(Reverse((done, vpn)));
+            }
+        }
+        if self.expiry.len() > 2 * self.in_flight.len() + 8 * self.free_at.len() {
+            self.compact();
         }
         self.stats.walks += 1;
         self.stats.queue_wait_cycles += wait;
         self.stats.max_queue_wait = self.stats.max_queue_wait.max(wait);
         done
+    }
+
+    /// Removes every entry whose walk completed at or before `cycle`.
+    /// Completed walks are popped off the heap one by one (a popped
+    /// element that no longer matches its entry is stale), up to a
+    /// budget of one per 16 entries; when more have completed — a burst,
+    /// or a short list whose walks all finished — one linear pass over
+    /// each structure replaces the remaining pops, which would cost more.
+    fn prune(&mut self, cycle: u64) {
+        for _ in 0..(self.in_flight.len() / 16).max(2) {
+            match self.expiry.peek() {
+                Some(&Reverse((done, vpn))) if done <= cycle => {
+                    self.expiry.pop();
+                    if let Ok(i) = self.in_flight.binary_search_by_key(&vpn, |&(v, _)| v) {
+                        if self.in_flight[i].1 == done {
+                            self.in_flight.remove(i);
+                        }
+                    }
+                }
+                _ => return,
+            }
+        }
+        if self
+            .expiry
+            .peek()
+            .is_some_and(|&Reverse((done, _))| done <= cycle)
+        {
+            self.in_flight.retain(|&(_, done)| done > cycle);
+            self.expiry.retain(|&Reverse((done, _))| done > cycle);
+        }
+    }
+
+    /// Drops the stale heap elements, leaving exactly one per entry, so
+    /// the heap stays within a constant factor of the walks tracked.
+    fn compact(&mut self) {
+        let in_flight = &self.in_flight;
+        self.expiry.retain(|&Reverse((done, vpn))| {
+            in_flight
+                .binary_search_by_key(&vpn, |&(v, _)| v)
+                .is_ok_and(|i| in_flight[i].1 == done)
+        });
     }
 
     /// Fixed per-walk latency in cycles.
@@ -160,6 +228,7 @@ impl WalkerPool {
     pub fn reset(&mut self) {
         self.free_at.fill(0);
         self.in_flight.clear();
+        self.expiry.clear();
         self.stats = WalkerStats::default();
     }
 }
@@ -167,6 +236,106 @@ impl WalkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pool before its in-flight index was sorted and heap-pruned:
+    /// an insertion-ordered list, `retain`ed whenever it exceeds four
+    /// times the walker count and scanned linearly on every submit. Kept
+    /// as the reference the differential test holds the pool to.
+    struct LinearPool {
+        free_at: Vec<u64>,
+        in_flight: Vec<(Vpn, u64)>,
+        stats: WalkerStats,
+    }
+
+    impl LinearPool {
+        fn new(walkers: usize) -> Self {
+            LinearPool {
+                free_at: vec![0; walkers],
+                in_flight: Vec::new(),
+                stats: WalkerStats::default(),
+            }
+        }
+
+        fn submit_with_latency(&mut self, cycle: u64, vpn: Vpn, latency: u64) -> u64 {
+            if self.in_flight.len() > 4 * self.free_at.len() {
+                self.in_flight.retain(|&(_, done)| done > cycle);
+            }
+            let slot = self.in_flight.iter().position(|&(v, _)| v == vpn);
+            if let Some(i) = slot {
+                let done = self.in_flight[i].1;
+                if done > cycle {
+                    self.stats.coalesced += 1;
+                    return done;
+                }
+            }
+            let (idx, &start) = self
+                .free_at
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &c)| c)
+                .unwrap();
+            let begin = start.max(cycle);
+            let wait = begin - cycle;
+            let done = begin + latency;
+            self.free_at[idx] = done;
+            match slot {
+                Some(i) => self.in_flight[i].1 = done,
+                None => self.in_flight.push((vpn, done)),
+            }
+            self.stats.walks += 1;
+            self.stats.queue_wait_cycles += wait;
+            self.stats.max_queue_wait = self.stats.max_queue_wait.max(wait);
+            done
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sorted, heap-pruned pool returns the same completion cycle
+        /// as the linear reference for every request, keeps the same
+        /// in-flight set and the same stats, and keeps its heap bounded —
+        /// for arrivals whose cycles jitter backwards (requests from
+        /// different SMs), deep enough to cross the prune threshold.
+        #[test]
+        fn matches_the_linear_reference(
+            walkers in 1usize..5,
+            arrivals in proptest::collection::vec(
+                (0u64..40, 0u64..3000, 0u64..48, 0u64..700),
+                1..600,
+            ),
+        ) {
+            let mut pool = WalkerPool::new(walkers, 500);
+            let mut reference = LinearPool::new(walkers);
+            let mut max_depth = 0;
+            for (i, &(step, jitter, vpn, latency)) in arrivals.iter().enumerate() {
+                // A rising base with a backwards jitter: arrivals are
+                // non-monotonic, as requests from different SMs are.
+                let cycle = (i as u64 * step).saturating_sub(jitter);
+                let vpn = Vpn::new(vpn);
+                prop_assert_eq!(
+                    pool.submit_with_latency(cycle, vpn, latency),
+                    reference.submit_with_latency(cycle, vpn, latency),
+                    "request {} (cycle {}, vpn {:?}, latency {})", i, cycle, vpn, latency
+                );
+                prop_assert_eq!(pool.stats(), reference.stats);
+                let mut expected = reference.in_flight.clone();
+                expected.sort_unstable();
+                prop_assert_eq!(&pool.in_flight, &expected);
+                prop_assert!(
+                    pool.expiry.len() <= 2 * pool.in_flight.len() + 8 * walkers,
+                    "heap holds {} elements for {} entries", pool.expiry.len(), pool.in_flight.len()
+                );
+                max_depth = max_depth.max(pool.in_flight.len());
+            }
+            // Most cases run past the prune threshold; the test is only
+            // meaningful if the prune path is exercised.
+            if arrivals.len() > 200 {
+                prop_assert!(max_depth > 4 * walkers, "depth {} never crossed the prune threshold", max_depth);
+            }
+        }
+    }
 
     #[test]
     fn single_walk_takes_latency() {
@@ -259,6 +428,24 @@ mod tests {
             ..Default::default()
         };
         assert!(phantom.check().is_err());
+    }
+
+    #[test]
+    fn stale_heap_elements_are_compacted() {
+        // Two VPNs re-walked after every completion: the list never
+        // reaches the prune threshold, so only compaction drops the
+        // heap elements each re-walk leaves behind.
+        let mut p = WalkerPool::new(1, 10);
+        for i in 0..10_000u64 {
+            p.submit(i * 100, Vpn::new(i % 2));
+        }
+        assert_eq!(p.stats().walks, 10_000);
+        assert_eq!(p.in_flight.len(), 2);
+        assert!(
+            p.expiry.len() <= 2 * 2 + 8,
+            "{} heap elements",
+            p.expiry.len()
+        );
     }
 
     #[test]

@@ -41,6 +41,33 @@ impl Default for RmatParams {
     }
 }
 
+/// One R-MAT draw: descends `levels` quadrant levels, choosing each
+/// quadrant with probabilities `params`, and returns `(src, dst)`.
+///
+/// The uniform draw `r` picks the first quadrant whose threshold it is
+/// below: `r < a` top-left `(0, 0)`, else `r < a+b` top-right `(0, 1)`,
+/// else `r < a+b+c` bottom-left `(1, 0)`, else bottom-right `(1, 1)`.
+/// The bits come from the three comparisons combined without branches
+/// (random draws would mispredict most of them), which selects exactly
+/// what the if-chain selects for any parameters.
+fn rmat_pair(rng: &mut SmallRng, levels: u32, params: RmatParams) -> (usize, usize) {
+    let (a, ab, abc) = (
+        params.a,
+        params.a + params.b,
+        params.a + params.b + params.c,
+    );
+    let (mut src, mut dst) = (0usize, 0usize);
+    for _ in 0..levels {
+        let r: f64 = rng.gen();
+        let (lt_a, lt_ab, lt_abc) = (r < a, r < ab, r < abc);
+        let sbit = usize::from(!(lt_a | lt_ab));
+        let dbit = usize::from(!lt_a & (lt_ab | !lt_abc));
+        src = (src << 1) | sbit;
+        dst = (dst << 1) | dbit;
+    }
+    (src, dst)
+}
+
 /// A directed graph in compressed sparse row form.
 ///
 /// # Example
@@ -70,21 +97,43 @@ impl CsrGraph {
     ///
     /// Panics if any endpoint is `>= num_nodes`.
     pub fn from_edges(num_nodes: usize, edges: &[(u32, u32)]) -> Self {
+        Self::from_edge_stream(num_nodes, || edges.iter().copied())
+    }
+
+    /// Builds a CSR graph from an edge sequence without holding it:
+    /// `edges` is called twice and must yield the same sequence both
+    /// times. The first pass counts out-degrees, the second places each
+    /// destination, so a source's neighbours keep their sequence order,
+    /// exactly as [`CsrGraph::from_edges`] on the collected list. A
+    /// generator replayed from its seed never materializes the edge list,
+    /// twice the size of `col_idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any endpoint is `>= num_nodes`.
+    fn from_edge_stream<I: Iterator<Item = (u32, u32)>>(
+        num_nodes: usize,
+        edges: impl Fn() -> I,
+    ) -> Self {
         let mut degree = vec![0u32; num_nodes];
-        for &(s, d) in edges {
+        let mut num_edges = 0usize;
+        for (s, d) in edges() {
             assert!(
                 (s as usize) < num_nodes && (d as usize) < num_nodes,
                 "edge ({s}, {d}) out of range for {num_nodes} nodes"
             );
             degree[s as usize] += 1;
+            num_edges += 1;
         }
         let mut row_ptr = vec![0u32; num_nodes + 1];
         for i in 0..num_nodes {
             row_ptr[i + 1] = row_ptr[i] + degree[i];
         }
-        let mut cursor = row_ptr.clone();
-        let mut col_idx = vec![0u32; edges.len()];
-        for &(s, d) in edges {
+        // Reuse the degree array as the per-source fill cursor.
+        let mut cursor = degree;
+        cursor.copy_from_slice(&row_ptr[..num_nodes]);
+        let mut col_idx = vec![0u32; num_edges];
+        for (s, d) in edges() {
             col_idx[cursor[s as usize] as usize] = d;
             cursor[s as usize] += 1;
         }
@@ -97,29 +146,16 @@ impl CsrGraph {
     pub fn rmat(num_nodes: usize, num_edges: usize, params: RmatParams, seed: u64) -> Self {
         assert!(num_nodes > 1, "graph needs at least two nodes");
         let levels = usize::BITS - (num_nodes - 1).leading_zeros();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut edges = Vec::with_capacity(num_edges);
-        while edges.len() < num_edges {
-            let (mut src, mut dst) = (0usize, 0usize);
-            for _ in 0..levels {
-                let r: f64 = rng.gen();
-                let (sbit, dbit) = if r < params.a {
-                    (0, 0)
-                } else if r < params.a + params.b {
-                    (0, 1)
-                } else if r < params.a + params.b + params.c {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                src = (src << 1) | sbit;
-                dst = (dst << 1) | dbit;
-            }
-            if src < num_nodes && dst < num_nodes && src != dst {
-                edges.push((src as u32, dst as u32));
-            }
-        }
-        Self::from_edges(num_nodes, &edges)
+        Self::from_edge_stream(num_nodes, || {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            std::iter::from_fn(move || loop {
+                let (src, dst) = rmat_pair(&mut rng, levels, params);
+                if src < num_nodes && dst < num_nodes && src != dst {
+                    return Some((src as u32, dst as u32));
+                }
+            })
+            .take(num_edges)
+        })
     }
 
     /// Generates a *clustered* power-law graph: like [`CsrGraph::rmat`]
@@ -143,38 +179,25 @@ impl CsrGraph {
         assert!(num_nodes > 1, "graph needs at least two nodes");
         let levels = usize::BITS - (num_nodes - 1).leading_zeros();
         let window = window.max(1);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut edges = Vec::with_capacity(num_edges);
-        while edges.len() < num_edges {
-            let (mut src, mut dst) = (0usize, 0usize);
-            for _ in 0..levels {
-                let r: f64 = rng.gen();
-                let (sbit, dbit) = if r < params.a {
-                    (0, 0)
-                } else if r < params.a + params.b {
-                    (0, 1)
-                } else if r < params.a + params.b + params.c {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                src = (src << 1) | sbit;
-                dst = (dst << 1) | dbit;
-            }
-            if src >= num_nodes {
-                continue;
-            }
-            if rng.gen::<f64>() < locality {
-                // Rewire into the source's cluster window.
-                let delta = rng.gen_range(0..=2 * window) as i64 - window as i64;
-                let local = (src as i64 + delta).rem_euclid(num_nodes as i64) as usize;
-                dst = local;
-            }
-            if dst < num_nodes && src != dst {
-                edges.push((src as u32, dst as u32));
-            }
-        }
-        Self::from_edges(num_nodes, &edges)
+        Self::from_edge_stream(num_nodes, || {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            std::iter::from_fn(move || loop {
+                let (src, mut dst) = rmat_pair(&mut rng, levels, params);
+                if src >= num_nodes {
+                    continue;
+                }
+                if rng.gen::<f64>() < locality {
+                    // Rewire into the source's cluster window.
+                    let delta = rng.gen_range(0..=2 * window) as i64 - window as i64;
+                    let local = (src as i64 + delta).rem_euclid(num_nodes as i64) as usize;
+                    dst = local;
+                }
+                if dst < num_nodes && src != dst {
+                    return Some((src as u32, dst as u32));
+                }
+            })
+            .take(num_edges)
+        })
     }
 
     /// Number of nodes.
@@ -308,6 +331,87 @@ mod tests {
         let g = CsrGraph::rmat(128, 512, RmatParams::default(), 3);
         for n in 0..g.num_nodes() as u32 {
             assert!(!g.neighbors(n).contains(&n), "self loop at {n}");
+        }
+    }
+
+    /// The generators as they were before the edge stream and the
+    /// branch-free quadrant pick: an if-chain per level, every edge drawn
+    /// into a list, then the CSR built from it.
+    fn materialized(
+        num_nodes: usize,
+        num_edges: usize,
+        params: RmatParams,
+        clustered: Option<(f64, usize)>,
+        seed: u64,
+    ) -> CsrGraph {
+        let levels = usize::BITS - (num_nodes - 1).leading_zeros();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = Vec::with_capacity(num_edges);
+        while edges.len() < num_edges {
+            let (mut src, mut dst) = (0usize, 0usize);
+            for _ in 0..levels {
+                let r: f64 = rng.gen();
+                let (sbit, dbit) = if r < params.a {
+                    (0, 0)
+                } else if r < params.a + params.b {
+                    (0, 1)
+                } else if r < params.a + params.b + params.c {
+                    (1, 0)
+                } else {
+                    (1, 1)
+                };
+                src = (src << 1) | sbit;
+                dst = (dst << 1) | dbit;
+            }
+            if let Some((locality, window)) = clustered {
+                if src >= num_nodes {
+                    continue;
+                }
+                if rng.gen::<f64>() < locality {
+                    let delta = rng.gen_range(0..=2 * window) as i64 - window as i64;
+                    dst = (src as i64 + delta).rem_euclid(num_nodes as i64) as usize;
+                }
+            }
+            if src < num_nodes && dst < num_nodes && src != dst {
+                edges.push((src as u32, dst as u32));
+            }
+        }
+        CsrGraph::from_edges(num_nodes, &edges)
+    }
+
+    #[test]
+    fn streamed_generators_equal_the_materialized_edge_lists() {
+        // The defaults, uniform quadrants, and a degenerate split with a
+        // negative probability (thresholds out of order), which the
+        // branch-free pick must resolve as the if-chain does.
+        let skews = [
+            RmatParams::default(),
+            RmatParams {
+                a: 0.25,
+                b: 0.25,
+                c: 0.25,
+            },
+            RmatParams {
+                a: 0.6,
+                b: -0.2,
+                c: 0.5,
+            },
+        ];
+        for (nodes, degree, seed) in [(1 << 10, 8, 42), (1000, 12, 7), (1 << 12, 12, 1)] {
+            let edges = nodes * degree;
+            let window = (nodes / 128).max(64);
+            for params in skews {
+                assert_eq!(
+                    CsrGraph::rmat(nodes, edges, params, seed),
+                    materialized(nodes, edges, params, None, seed),
+                    "rmat {params:?} {nodes} nodes, seed {seed}"
+                );
+                assert_eq!(
+                    CsrGraph::clustered_rmat(nodes, edges, params, 0.6, window, seed),
+                    materialized(nodes, edges, params, Some((0.6, window)), seed),
+                    "clustered_rmat {params:?} {nodes} nodes, seed {seed}"
+                );
+            }
         }
     }
 }
