@@ -22,13 +22,6 @@ pub struct ConfigError {
     pub violations: Vec<ConfigViolation>,
 }
 
-impl ConfigError {
-    /// Whether `field` is among the violations.
-    pub fn names(&self, field: &str) -> bool {
-        self.violations.iter().any(|v| v.field == field)
-    }
-}
-
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "invalid GPU configuration:")?;
@@ -182,8 +175,7 @@ impl GpuConfig {
     /// clamped to something else (`l2_tlb_ports = 0`,
     /// `l2_tlb_port_occupancy = 0`), or panic deep inside a constructor
     /// (`walkers = 0`, a TLB or cache geometry that does not divide into
-    /// sets, `l2_tlb_slices` that leave a slice with a non-power-of-two
-    /// set count).
+    /// sets, `l2_tlb_slices` that leave a slice with such a geometry).
     ///
     /// # Example
     ///
@@ -193,7 +185,8 @@ impl GpuConfig {
     /// assert!(GpuConfig::dac23_baseline().validate().is_ok());
     /// let bad = GpuConfig { issue_width: 0, walkers: 0, ..GpuConfig::dac23_baseline() };
     /// let err = bad.validate().unwrap_err();
-    /// assert!(err.names("issue_width") && err.names("walkers"));
+    /// let fields: Vec<&str> = err.violations.iter().map(|v| v.field).collect();
+    /// assert_eq!(fields, ["issue_width", "walkers"]);
     /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
         let mut violations = Vec::new();
@@ -219,25 +212,13 @@ impl GpuConfig {
             );
         }
         for (field, c) in [("l1_cache", self.l1_cache), ("l2_cache", self.l2_cache)] {
-            if !cache_geometry_ok(&c) {
-                fail(
-                    field,
-                    format!(
-                        "{} bytes of {}-byte lines do not fill whole {}-way sets",
-                        c.bytes, c.line_bytes, c.associativity
-                    ),
-                );
+            if let Err(e) = c.check() {
+                fail(field, e);
             }
         }
         for (field, t) in [("l1_tlb", self.l1_tlb), ("l2_tlb", self.l2_tlb)] {
-            if !tlb_geometry_ok(&t) {
-                fail(
-                    field,
-                    format!(
-                        "{} entries, {}-way: needs a power-of-two number of whole sets",
-                        t.entries, t.associativity
-                    ),
-                );
+            if let Err(e) = t.check() {
+                fail(field, e);
             }
         }
         if self.walkers == 0 {
@@ -254,22 +235,11 @@ impl GpuConfig {
         }
         if self.l2_tlb_slices == 0 {
             fail("l2_tlb_slices", "must be at least 1".into());
-        } else if tlb_geometry_ok(&self.l2_tlb) {
-            // The per-slice geometry `TlbConfig::sliced` will build.
-            let per_slice =
-                (self.l2_tlb.entries / self.l2_tlb_slices).max(self.l2_tlb.associativity);
-            let slice = TlbConfig {
-                entries: per_slice,
-                ..self.l2_tlb
-            };
-            if !tlb_geometry_ok(&slice) {
+        } else if self.l2_tlb.check().is_ok() {
+            if let Err(e) = self.l2_tlb.try_sliced(self.l2_tlb_slices) {
                 fail(
                     "l2_tlb_slices",
-                    format!(
-                        "{} slices of the {}-entry {}-way L2 TLB leave {per_slice} entries \
-                         per slice, not a power-of-two number of whole sets",
-                        self.l2_tlb_slices, self.l2_tlb.entries, self.l2_tlb.associativity
-                    ),
+                    format!("{} slices of the L2 TLB: {e}", self.l2_tlb_slices),
                 );
             }
         }
@@ -285,25 +255,6 @@ impl GpuConfig {
             Err(ConfigError { violations })
         }
     }
-}
-
-/// The geometry rule [`TlbConfig::new`] enforces, for a value built by
-/// struct literal.
-fn tlb_geometry_ok(t: &TlbConfig) -> bool {
-    t.entries > 0
-        && t.associativity > 0
-        && t.entries.is_multiple_of(t.associativity)
-        && (t.entries / t.associativity).is_power_of_two()
-}
-
-/// The geometry rule [`CacheConfig::new`] enforces, plus at least one
-/// set.
-fn cache_geometry_ok(c: &CacheConfig) -> bool {
-    c.bytes > 0
-        && c.associativity > 0
-        && c.line_bytes > 0
-        && c.lines().is_multiple_of(c.associativity)
-        && c.sets() > 0
 }
 
 impl Default for GpuConfig {

@@ -18,19 +18,35 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `bytes` divides evenly into whole sets of
-    /// `associativity` lines. (Set counts need not be powers of two: the
-    /// cache indexes by modulo, matching a sliced L2 whose 12 partitions
-    /// each hold a power-of-two number of sets.)
+    /// Panics with [`CacheConfig::check`]'s message if the geometry is
+    /// invalid.
     pub fn new(bytes: usize, associativity: usize, line_bytes: usize) -> Self {
-        assert!(bytes > 0 && associativity > 0 && line_bytes > 0);
-        let lines = bytes / line_bytes;
-        assert!(lines.is_multiple_of(associativity), "lines must fill whole sets");
-        CacheConfig {
+        let config = CacheConfig {
             bytes,
             associativity,
             line_bytes,
+        };
+        if let Err(e) = config.check() {
+            panic!("{e}");
         }
+        config
+    }
+
+    /// Checks the geometry: `bytes` must divide into at least one whole
+    /// set of `associativity` lines. (Set counts need not be powers of
+    /// two: the cache indexes by modulo, matching a sliced L2 whose 12
+    /// partitions each hold a power-of-two number of sets.)
+    pub fn check(&self) -> Result<(), String> {
+        if self.bytes == 0 || self.associativity == 0 || self.line_bytes == 0 {
+            return Err(String::from("geometry must be non-zero"));
+        }
+        if !self.lines().is_multiple_of(self.associativity) || self.sets() == 0 {
+            return Err(format!(
+                "lines must fill whole sets ({} bytes of {}-byte lines, {}-way)",
+                self.bytes, self.line_bytes, self.associativity
+            ));
+        }
+        Ok(())
     }
 
     /// Number of lines.
@@ -127,6 +143,17 @@ mod tests {
     #[should_panic(expected = "whole sets")]
     fn bad_cache_geometry_rejected() {
         let _ = CacheConfig::new(129 * 3, 2, 129 /* 3 lines, assoc 2 */);
+    }
+
+    #[test]
+    fn check_rejects_a_cache_smaller_than_one_set() {
+        let tiny = CacheConfig {
+            bytes: 64,
+            associativity: 4,
+            line_bytes: 128,
+        };
+        assert!(tiny.check().unwrap_err().contains("whole sets"));
+        assert_eq!(CacheConfig::new(16 * 1024, 4, 128).check(), Ok(()));
     }
 
     #[test]

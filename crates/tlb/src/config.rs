@@ -32,25 +32,38 @@ impl TlbConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a positive multiple of `associativity`,
-    /// or if the resulting set count is not a power of two (required for
-    /// index-bit set selection).
+    /// Panics with [`TlbConfig::check`]'s message if the geometry is
+    /// invalid.
     pub fn new(entries: usize, associativity: usize, lookup_latency: u64) -> Self {
-        assert!(entries > 0 && associativity > 0, "geometry must be non-zero");
-        assert!(
-            entries.is_multiple_of(associativity),
-            "entries {entries} must be a multiple of associativity {associativity}"
-        );
-        let sets = entries / associativity;
-        assert!(
-            sets.is_power_of_two(),
-            "set count {sets} must be a power of two"
-        );
-        TlbConfig {
+        let config = TlbConfig {
             entries,
             associativity,
             lookup_latency,
+        };
+        if let Err(e) = config.check() {
+            panic!("{e}");
         }
+        config
+    }
+
+    /// Checks the geometry: `entries` must be a positive multiple of
+    /// `associativity`, and the resulting set count a power of two
+    /// (required for index-bit set selection).
+    pub fn check(&self) -> Result<(), String> {
+        let (entries, associativity) = (self.entries, self.associativity);
+        if entries == 0 || associativity == 0 {
+            return Err(String::from("geometry must be non-zero"));
+        }
+        if !entries.is_multiple_of(associativity) {
+            return Err(format!(
+                "entries {entries} must be a multiple of associativity {associativity}"
+            ));
+        }
+        let sets = entries / associativity;
+        if !sets.is_power_of_two() {
+            return Err(format!("set count {sets} must be a power of two"));
+        }
+        Ok(())
     }
 
     /// The paper's per-SM private L1 TLB: 64 entries, 4-way, 1-cycle.
@@ -80,14 +93,19 @@ impl TlbConfig {
     ///
     /// # Panics
     ///
-    /// Panics (via [`TlbConfig::new`]) if the per-slice set count is not
-    /// a power of two.
+    /// Panics where [`TlbConfig::try_sliced`] returns an error.
     pub fn sliced(&self, slices: usize) -> TlbConfig {
-        TlbConfig::new(
-            (self.entries / slices.max(1)).max(self.associativity),
-            self.associativity,
-            self.lookup_latency,
-        )
+        self.try_sliced(slices).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`TlbConfig::sliced`], returning [`TlbConfig::check`]'s error for
+    /// a per-slice geometry it rejects.
+    pub fn try_sliced(&self, slices: usize) -> Result<TlbConfig, String> {
+        let slice = TlbConfig {
+            entries: (self.entries / slices.max(1)).max(self.associativity),
+            ..*self
+        };
+        slice.check().map(|()| slice)
     }
 }
 
@@ -155,6 +173,17 @@ mod tests {
         // One slice is the identity.
         assert_eq!(TlbConfig::dac23_l2().sliced(1), TlbConfig::dac23_l2());
         assert_eq!(TlbConfig::dac23_l2().sliced(0), TlbConfig::dac23_l2());
+    }
+
+    #[test]
+    fn try_sliced_reports_a_bad_slice_geometry() {
+        // 512 / 3 = 170 entries of 16 ways: not whole sets.
+        let err = TlbConfig::dac23_l2().try_sliced(3).unwrap_err();
+        assert!(err.contains("multiple of associativity"), "{err}");
+        assert_eq!(
+            TlbConfig::dac23_l2().try_sliced(4),
+            Ok(TlbConfig::dac23_l2().sliced(4))
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! walk, as the MSHR-style merging in MASK/gem5-gpu does.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::addr::Vpn;
@@ -79,12 +80,12 @@ pub struct WalkerPool {
     /// by VPN (unique keys), binary-searched on every submit. Entries
     /// whose walk has completed stay until a prune removes them.
     in_flight: Vec<(Vpn, u64)>,
-    /// Min-heap of `(completion cycle, vpn)` with at least one element
-    /// per `in_flight` entry, so a prune pops exactly the completed walks
-    /// instead of scanning the list. A walk re-issued for a VPN leaves
-    /// its old element behind as stale (it no longer matches the
-    /// entry); pops skip those, and [`WalkerPool::compact`] drops them
-    /// once they outnumber the live ones.
+    /// Min-heap of `(key, vpn)` with exactly one element per `in_flight`
+    /// entry, so a prune pops exactly the completed walks instead of
+    /// scanning the list. The key is the entry's completion cycle when
+    /// the element was pushed; a walk re-issued for the VPN raises the
+    /// entry's cycle and leaves the key as a lower bound, which the
+    /// prune that pops it corrects.
     expiry: BinaryHeap<Reverse<(u64, Vpn)>>,
     stats: WalkerStats,
 }
@@ -145,22 +146,14 @@ impl WalkerPool {
         self.free_at[idx] = done;
         // Unique VPNs: refresh a completed entry in place, else insert in
         // VPN order. A refresh never lowers `done` (the old walk ended at
-        // or before `cycle`, the new one ends at or after it), and an
-        // unchanged value already has its heap element.
+        // or before `cycle`, the new one ends at or after it), so the
+        // entry's heap key stays a lower bound and needs no new element.
         match slot {
-            Ok(i) => {
-                if self.in_flight[i].1 != done {
-                    self.in_flight[i].1 = done;
-                    self.expiry.push(Reverse((done, vpn)));
-                }
-            }
+            Ok(i) => self.in_flight[i].1 = done,
             Err(i) => {
                 self.in_flight.insert(i, (vpn, done));
                 self.expiry.push(Reverse((done, vpn)));
             }
-        }
-        if self.expiry.len() > 2 * self.in_flight.len() + 8 * self.free_at.len() {
-            self.compact();
         }
         self.stats.walks += 1;
         self.stats.queue_wait_cycles += wait;
@@ -169,44 +162,28 @@ impl WalkerPool {
     }
 
     /// Removes every entry whose walk completed at or before `cycle`.
-    /// Completed walks are popped off the heap one by one (a popped
-    /// element that no longer matches its entry is stale), up to a
-    /// budget of one per 16 entries; when more have completed — a burst,
-    /// or a short list whose walks all finished — one linear pass over
-    /// each structure replaces the remaining pops, which would cost more.
+    /// Every such entry has a heap key at or below `cycle`, so popping
+    /// the keys up to `cycle` finds all of them. A popped key below its
+    /// entry's cycle belongs to a walk re-issued since: if the new walk
+    /// is still in flight, the key is raised to its cycle in place.
     fn prune(&mut self, cycle: u64) {
-        for _ in 0..(self.in_flight.len() / 16).max(2) {
-            match self.expiry.peek() {
-                Some(&Reverse((done, vpn))) if done <= cycle => {
-                    self.expiry.pop();
-                    if let Ok(i) = self.in_flight.binary_search_by_key(&vpn, |&(v, _)| v) {
-                        if self.in_flight[i].1 == done {
-                            self.in_flight.remove(i);
-                        }
-                    }
-                }
-                _ => return,
+        while let Some(mut top) = self.expiry.peek_mut() {
+            let Reverse((key, vpn)) = *top;
+            if key > cycle {
+                break;
+            }
+            let i = self
+                .in_flight
+                .binary_search_by_key(&vpn, |&(v, _)| v)
+                .expect("every heap element has its entry");
+            let done = self.in_flight[i].1;
+            if done <= cycle {
+                PeekMut::pop(top);
+                self.in_flight.remove(i);
+            } else {
+                *top = Reverse((done, vpn));
             }
         }
-        if self
-            .expiry
-            .peek()
-            .is_some_and(|&Reverse((done, _))| done <= cycle)
-        {
-            self.in_flight.retain(|&(_, done)| done > cycle);
-            self.expiry.retain(|&Reverse((done, _))| done > cycle);
-        }
-    }
-
-    /// Drops the stale heap elements, leaving exactly one per entry, so
-    /// the heap stays within a constant factor of the walks tracked.
-    fn compact(&mut self) {
-        let in_flight = &self.in_flight;
-        self.expiry.retain(|&Reverse((done, vpn))| {
-            in_flight
-                .binary_search_by_key(&vpn, |&(v, _)| v)
-                .is_ok_and(|i| in_flight[i].1 == done)
-        });
     }
 
     /// Fixed per-walk latency in cycles.
@@ -295,7 +272,8 @@ mod tests {
 
         /// The sorted, heap-pruned pool returns the same completion cycle
         /// as the linear reference for every request, keeps the same
-        /// in-flight set and the same stats, and keeps its heap bounded —
+        /// in-flight set and the same stats, and keeps one heap element
+        /// per entry —
         /// for arrivals whose cycles jitter backwards (requests from
         /// different SMs), deep enough to cross the prune threshold.
         #[test]
@@ -323,10 +301,7 @@ mod tests {
                 let mut expected = reference.in_flight.clone();
                 expected.sort_unstable();
                 prop_assert_eq!(&pool.in_flight, &expected);
-                prop_assert!(
-                    pool.expiry.len() <= 2 * pool.in_flight.len() + 8 * walkers,
-                    "heap holds {} elements for {} entries", pool.expiry.len(), pool.in_flight.len()
-                );
+                prop_assert_eq!(pool.expiry.len(), pool.in_flight.len());
                 max_depth = max_depth.max(pool.in_flight.len());
             }
             // Most cases run past the prune threshold; the test is only
@@ -431,21 +406,33 @@ mod tests {
     }
 
     #[test]
-    fn stale_heap_elements_are_compacted() {
+    fn rewalks_add_no_heap_elements() {
         // Two VPNs re-walked after every completion: the list never
-        // reaches the prune threshold, so only compaction drops the
-        // heap elements each re-walk leaves behind.
+        // reaches the prune threshold, and each re-walk raises its
+        // entry's cycle in place, so the heap keeps one element per VPN.
         let mut p = WalkerPool::new(1, 10);
         for i in 0..10_000u64 {
             p.submit(i * 100, Vpn::new(i % 2));
         }
         assert_eq!(p.stats().walks, 10_000);
         assert_eq!(p.in_flight.len(), 2);
-        assert!(
-            p.expiry.len() <= 2 * 2 + 8,
-            "{} heap elements",
-            p.expiry.len()
-        );
+        assert_eq!(p.expiry.len(), 2);
+    }
+
+    #[test]
+    fn prune_corrects_keys_of_rewalked_entries() {
+        // VPN 0 is walked at 0 (done 10) and re-walked at 20 (done 30),
+        // leaving its heap key at 10. A prune at 25 pops that key, finds
+        // the re-walk still in flight and keeps the entry with key 30;
+        // a prune at 30 then removes it.
+        let mut p = WalkerPool::new(1, 10);
+        p.submit(0, Vpn::new(0));
+        assert_eq!(p.submit(20, Vpn::new(0)), 30);
+        p.prune(25);
+        assert_eq!(p.in_flight, vec![(Vpn::new(0), 30)]);
+        assert_eq!(p.expiry.peek(), Some(&Reverse((30, Vpn::new(0)))));
+        p.prune(30);
+        assert!(p.in_flight.is_empty() && p.expiry.is_empty());
     }
 
     #[test]
